@@ -36,7 +36,6 @@ from .families import (
 from .report import Report, ReportItem
 from .solver import (
     CallLimitExceeded,
-    MemoTable,
     SolveStats,
     SolverConfig,
     default_dominion_bound,
@@ -45,7 +44,6 @@ from .solver import (
     right_step,
     scc_split,
     solve,
-    solve_scc_wise,
 )
 from .analyzer import (
     InducedTree,
@@ -99,7 +97,6 @@ __all__ = [
     "Report",
     "ReportItem",
     "CallLimitExceeded",
-    "MemoTable",
     "SolveStats",
     "SolverConfig",
     "default_dominion_bound",
@@ -108,7 +105,6 @@ __all__ = [
     "right_step",
     "scc_split",
     "solve",
-    "solve_scc_wise",
     "InducedTree",
     "NotCoreExtension",
     "TooLarge",

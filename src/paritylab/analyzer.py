@@ -17,8 +17,9 @@ fall apart into multiple strongly connected components.
 
 Everything here is desk-scale instrumentation.  ``oracle_solve`` and
 ``min_core_dominion`` trade speed for independence: the former solves by
-enumerating positional strategies and inspecting simple cycles, the
-latter finds smallest dominions by exhaustive bounded closure search.
+enumerating positional strategies and searching each one's move graph
+for cycles of odd maximum priority, the latter finds smallest dominions
+by exhaustive bounded closure search.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
-
-import networkx as nx
 
 from .core import (
     GameError,
@@ -74,11 +73,6 @@ class TooLarge(GameError):
 class NotCoreExtension(GameError):
     """Game failed the structural checks required for tree construction."""
 
-
-# A positional strategy for one player: chosen alive successor per owned
-# alive position.  Oracle-internal; plays under a strategy pair are
-# evaluated as the reachable cycles of the restricted move graph.
-Strategy = Dict[int, int]
 
 _ORACLE_BOUND = 12
 
@@ -451,17 +445,41 @@ def min_core_dominion(g: Subgame, k: int, size_cap: int) -> Optional[int]:
     return None
 
 
-def _sigma_graph(
-    positions: tuple[int, ...],
-    succ: Dict[int, list[int]],
-    sigma: Strategy,
-) -> nx.DiGraph:
-    graph = nx.DiGraph()
-    graph.add_nodes_from(positions)
-    for v in positions:
-        for s in (sigma[v],) if v in sigma else succ[v]:
-            graph.add_edge(v, s)
-    return graph
+def _odd_cycle_reachers(
+    positions: tuple[int, ...], prs: tuple[int, ...], edge: Dict[int, int]
+) -> int:
+    # A cycle of odd maximum priority exists exactly when some position x
+    # of odd priority q reaches itself through positions of priority <= q:
+    # x is then the cycle's maximum.  The positions that can reach such an
+    # x are the ones that can reach the cycle.
+    losing = 0
+    for x in positions:
+        q = prs[x]
+        if not q & 1:
+            continue
+        low = 0
+        for v in positions:
+            if prs[v] <= q:
+                low |= 1 << v
+        reached = 0
+        front = edge[x] & low
+        while front and not reached >> x & 1:
+            reached |= front
+            nxt = 0
+            for v in positions:
+                if front >> v & 1:
+                    nxt |= edge[v]
+            front = nxt & low & ~reached
+        if reached >> x & 1:
+            losing |= 1 << x
+    grown = losing
+    while grown:
+        grown = 0
+        for v in positions:
+            if not losing >> v & 1 and edge[v] & losing:
+                grown |= 1 << v
+        losing |= grown
+    return losing
 
 
 def oracle_solve(g: Subgame) -> Regions:
@@ -470,10 +488,9 @@ def oracle_solve(g: Subgame) -> Regions:
     Enumerates every positional strategy of player 0 over the alive
     positions.  Under one strategy the move graph keeps a single choice
     at player-0 positions and every alive move at player-1 positions; a
-    position is winning for that strategy when no simple cycle of odd
-    maximum priority is reachable from it.  Player 0 wins wherever some
-    strategy does, player 1 wins the rest.  Shares no machinery with
-    ``solve``.
+    position is winning for that strategy when no cycle of odd maximum
+    priority is reachable from it.  Player 0 wins wherever some strategy
+    does, player 1 wins the rest.  Shares no machinery with ``solve``.
 
     Raises ``TooLarge`` beyond 12 alive positions.
     """
@@ -489,26 +506,14 @@ def oracle_solve(g: Subgame) -> Regions:
     succ = {
         v: [s for s in game.successors[v] if alive >> s & 1] for v in positions
     }
+    moves = {v: game.succ_masks[v] & alive for v in positions}
     mine = [v for v in positions if game.owners[v] == 0]
-    prs = game.priorities
     w0 = 0
     for choice in itertools.product(*(succ[v] for v in mine)):
-        sigma: Strategy = dict(zip(mine, choice))
-        graph = _sigma_graph(positions, succ, sigma)
-        losing = set()
-        for cycle in nx.simple_cycles(graph):
-            if max(prs[v] for v in cycle) & 1:
-                losing.update(cycle)
-        stack = list(losing)
-        while stack:
-            v = stack.pop()
-            for u in graph.predecessors(v):
-                if u not in losing:
-                    losing.add(u)
-                    stack.append(u)
-        for v in positions:
-            if v not in losing:
-                w0 |= 1 << v
+        edge = dict(moves)
+        for v, s in zip(mine, choice):
+            edge[v] = 1 << s
+        w0 |= alive & ~_odd_cycle_reachers(positions, game.priorities, edge)
         if w0 == alive:
             break
     return Regions(PositionSet(game, w0), PositionSet(game, alive & ~w0))

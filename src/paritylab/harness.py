@@ -211,6 +211,8 @@ class BenchRecord:
     total_calls: int
     distinct_subgames: int
     memo_hits: int
+    max_depth: int
+    dominion_probes: int
     wall_time_ms: float
     won_by_0: bool
     bound_3_2k1: int
@@ -245,6 +247,8 @@ def run_bench(
                         total_calls=stats.total_calls,
                         distinct_subgames=stats.distinct_subgames,
                         memo_hits=stats.memo_hits,
+                        max_depth=stats.max_depth,
+                        dominion_probes=stats.dominion_probes,
                         wall_time_ms=stats.wall_time * 1000.0,
                         won_by_0=not regions.w1,
                         bound_3_2k1=3 * (2 ** (k + 1) - 1),
@@ -352,6 +356,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "total_calls": stats.total_calls,
         "distinct_subgames": stats.distinct_subgames,
         "memo_hits": stats.memo_hits,
+        "max_depth": stats.max_depth,
         "dominion_probes": stats.dominion_probes,
         "wall_time_ms": round(stats.wall_time * 1000.0, 3),
     }

@@ -21,11 +21,10 @@ only converts to ``PositionSet`` at the public boundary.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import isqrt
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Generator, Optional
 
 from .core import (
     GameError,
@@ -86,36 +85,6 @@ class SolveStats:
     max_depth: int = 0
     dominion_probes: int = 0
     wall_time: float = 0.0
-
-
-class MemoTable:
-    """Cache of solved subgames within one master game.
-
-    Maps an alive mask to the pair of winning-region masks; ``store``
-    rejects entries that do not partition their alive set.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: dict[int, tuple[int, int]] = {}
-
-    def lookup(self, alive: int) -> Optional[tuple[int, int]]:
-        return self._table.get(alive)
-
-    def store(self, alive: int, w0: int, w1: int) -> None:
-        if w0 & w1 or w0 | w1 != alive:
-            raise ValueError("regions must partition the alive set")
-        self._table[alive] = (w0, w1)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, alive: int) -> bool:
-        return alive in self._table
-
-    def items(self) -> Iterable[tuple[int, tuple[int, int]]]:
-        return self._table.items()
 
 
 # ---------------------------------------------------------------------------
@@ -415,130 +384,111 @@ def find_dominion(
 # the solver proper
 
 
-def _run(
-    game: ParityGame,
-    alive0: int,
-    cfg: SolverConfig,
-    seen_out: Optional[set[int]],
-    scc_wise_top: bool,
-) -> tuple[Regions, SolveStats]:
+def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, SolveStats]:
+    """Winning regions of ``g`` plus instrumentation counters.
+
+    The answer does not depend on ``cfg``; the counters do.  Raises
+    ``CallLimitExceeded`` (carrying the partial stats) when
+    ``cfg.call_limit`` is hit.
+
+    The recursion runs on an explicit stack, so its depth is bounded by
+    memory rather than by the interpreter's recursion limit: each call is
+    a generator that yields the alive mask of every child it needs and is
+    sent back the child's ``(w0, w1)`` masks.
+    """
+    game = g.game
     stats = SolveStats()
-    memo = MemoTable() if cfg.memoization else None
-    table = memo._table if memo is not None else None
+    memo: Optional[dict[int, tuple[int, int]]] = {} if cfg.memoization else None
     seen: set[int] = set()
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
     bound_fn = cfg.dominion_bound
 
-    def scc_loop(rem: int, depth: int) -> tuple[int, int]:
-        w0 = w1 = 0
-        while rem:
-            comp = _scc_masks(game, rem)[0]
-            c0, c1 = recurse(comp, depth)
-            a0 = _attractor_mask(game, rem, c0, 0) if c0 else 0
-            rem &= ~a0
-            a1 = _attractor_mask(game, rem, c1, 1) if c1 else 0
-            rem &= ~a1
-            w0 |= a0
-            w1 |= a1
-        return w0, w1
+    def call(alive: int) -> Generator[int, tuple[int, int], tuple[int, int]]:
+        # one call on a non-empty alive set
+        if dom_on:
+            bound = bound_fn(alive.bit_count())
+            if bound < 1:
+                raise ValueError("dominion_bound must be >= 1 on positive sizes")
+            found = _find_dominion_mask(game, alive, bound, (0, 1), stats)
+            if found is not None:
+                d, p = found
+                a = _attractor_mask(game, alive, d, p)
+                r0, r1 = yield alive & ~a
+                return (r0 | a, r1) if p == 0 else (r0, r1 | a)
+        if scc_on:
+            comps = _scc_masks(game, alive)
+            if len(comps) > 1:
+                # solve a terminal component, attract both of its regions
+                # within what is left, and repeat on the rest
+                rem = alive
+                comp = comps[0]
+                w0 = w1 = 0
+                while True:
+                    c0, c1 = yield comp
+                    a0 = _attractor_mask(game, rem, c0, 0) if c0 else 0
+                    rem &= ~a0
+                    a1 = _attractor_mask(game, rem, c1, 1) if c1 else 0
+                    rem &= ~a1
+                    w0 |= a0
+                    w1 |= a1
+                    if not rem:
+                        return w0, w1
+                    comp = _scc_masks(game, rem)[0]
+        pr, holders = _max_priority_mask(game, alive)
+        p = pr & 1
+        a = _attractor_mask(game, alive, holders, p)
+        l0, l1 = yield alive & ~a
+        w_opp = l1 if p == 0 else l0
+        b = _attractor_mask(game, alive, w_opp, 1 - p) if w_opp else 0
+        if b == w_opp:
+            wp = alive & ~w_opp
+            return (wp, w_opp) if p == 0 else (w_opp, wp)
+        r0, r1 = yield alive & ~b
+        wp = r0 if p == 0 else r1
+        return (wp, alive & ~wp) if p == 0 else (alive & ~wp, wp)
 
-    def recurse(alive: int, depth: int) -> tuple[int, int]:
-        stats.total_calls += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if limit is not None and stats.total_calls > limit:
-            raise CallLimitExceeded(limit, stats)
-        if table is not None:
-            hit = table.get(alive)
-            if hit is not None:
-                stats.memo_hits += 1
-                return hit
-        if alive not in seen:
-            seen.add(alive)
-            stats.distinct_subgames += 1
-
-        if not alive:
-            result = (0, 0)
-        else:
-            result = None
-            if dom_on:
-                bound = bound_fn(alive.bit_count())
-                if bound < 1:
-                    raise ValueError("dominion_bound must be >= 1 on positive sizes")
-                found = _find_dominion_mask(game, alive, bound, (0, 1), stats)
-                if found is not None:
-                    d, p = found
-                    a = _attractor_mask(game, alive, d, p)
-                    r0, r1 = recurse(alive & ~a, depth + 1)
-                    result = (r0 | a, r1) if p == 0 else (r0, r1 | a)
-            if result is None and scc_on:
-                comps = _scc_masks(game, alive)
-                if len(comps) > 1:
-                    result = scc_loop(alive, depth + 1)
-            if result is None:
-                pr, holders = _max_priority_mask(game, alive)
-                p = pr & 1
-                a = _attractor_mask(game, alive, holders, p)
-                l0, l1 = recurse(alive & ~a, depth + 1)
-                w_opp = l1 if p == 0 else l0
-                b = _attractor_mask(game, alive, w_opp, 1 - p) if w_opp else 0
-                if b == w_opp:
-                    wp = alive & ~w_opp
-                    result = (wp, w_opp) if p == 0 else (w_opp, wp)
-                else:
-                    r0, r1 = recurse(alive & ~b, depth + 1)
-                    wp = r0 if p == 0 else r1
-                    result = (wp, alive & ~wp) if p == 0 else (alive & ~wp, wp)
-
-        if memo is not None:
-            memo.store(alive, *result)
-        return result
-
-    need = 3 * game.n + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
+    frames: list[Generator[int, tuple[int, int], tuple[int, int]]] = []
+    masks: list[int] = []  # alive mask of each frame, kept for the memo only
+    child = g.alive.mask
     t0 = perf_counter()
     try:
-        if scc_wise_top and alive0:
-            w0, w1 = scc_loop(alive0, 1)
-        else:
-            w0, w1 = recurse(alive0, 1)
+        while True:
+            # enter a call on ``child``, one level below the top frame
+            stats.total_calls += 1
+            if len(frames) >= stats.max_depth:
+                stats.max_depth = len(frames) + 1
+            if limit is not None and stats.total_calls > limit:
+                raise CallLimitExceeded(limit, stats)
+            result = memo.get(child) if memo is not None else None
+            if result is not None:
+                stats.memo_hits += 1
+            else:
+                seen.add(child)
+                if child:
+                    frames.append(call(child))
+                    if memo is not None:
+                        masks.append(child)
+                else:
+                    result = (0, 0)
+                    if memo is not None:
+                        memo[0] = result
+            # run the top frame until it asks for a child, handing each
+            # finished call's result to the frame below
+            while frames:
+                try:
+                    child = frames[-1].send(result)
+                    break
+                except StopIteration as done:
+                    frames.pop()
+                    result = done.value
+                    if memo is not None:
+                        memo[masks.pop()] = result
+            else:
+                break
     finally:
+        stats.distinct_subgames = len(seen)
         stats.wall_time = perf_counter() - t0
-    if seen_out is not None:
-        seen_out |= seen
+    w0, w1 = result
     return Regions(PositionSet(game, w0), PositionSet(game, w1)), stats
-
-
-def solve(
-    g: Subgame,
-    cfg: SolverConfig = SolverConfig(),
-    seen_out: Optional[set[int]] = None,
-) -> tuple[Regions, SolveStats]:
-    """Winning regions of ``g`` plus instrumentation counters.
-
-    The answer does not depend on ``cfg``; the counters do.  When
-    ``seen_out`` is given, every distinct alive mask entered by the
-    recursion is added to it.  Raises ``CallLimitExceeded`` (carrying the
-    partial stats) when ``cfg.call_limit`` is hit.
-    """
-    return _run(g.game, g.alive.mask, cfg, seen_out, scc_wise_top=False)
-
-
-def solve_scc_wise(
-    g: Subgame,
-    cfg: SolverConfig = SolverConfig(),
-    seen_out: Optional[set[int]] = None,
-) -> tuple[Regions, SolveStats]:
-    """Solve by repeatedly splitting off a terminal component.
-
-    Each terminal strongly connected component is solved as a game in its
-    own right (with ``cfg`` as given), its winning regions are attracted
-    within the whole remaining subgame, both attractors are removed, and
-    the loop continues.  On a game that is a single component this does
-    exactly one plain ``solve``.
-    """
-    return _run(g.game, g.alive.mask, cfg, seen_out, scc_wise_top=True)

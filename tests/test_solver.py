@@ -1,12 +1,13 @@
 """Recursive solver, its enhancement layers and the bounded dominion search."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritylab import (
     CallLimitExceeded,
-    MemoTable,
     ParityGame,
     Player,
     PositionSet,
@@ -22,7 +23,6 @@ from paritylab import (
     right_step,
     scc_split,
     solve,
-    solve_scc_wise,
 )
 
 from conftest import mk, names
@@ -104,12 +104,6 @@ def test_scc_decomposition_collapses_core_counts():
     assert stats.distinct_subgames == 20  # linear in k instead of exponential
 
 
-def test_seen_out_matches_distinct_counter(whole_core1):
-    seen: set[int] = set()
-    _, stats = solve(whole_core1, seen_out=seen)
-    assert len(seen) == stats.distinct_subgames
-
-
 def test_scc_split_terminal_first():
     # 0 -> 1, both self-looped: {1} must come out before {0}
     g = mk([0, 0], [0, 1], [[0, 1], [1]])
@@ -132,12 +126,6 @@ def test_scc_split_on_recursion_remainder(core1):
     assert names(core1, sub) == ["b0", "g0", "g1", "g2"]
     comps = scc_split(sub)
     assert sorted(names(core1, c) for c in comps) == [["b0", "g0"], ["g1"], ["g2"]]
-
-
-def test_solve_scc_wise_matches_plain():
-    for g in (gen_core(2), gen_scc(2), gen_random(9, seed=42)):
-        sub = Subgame.whole(g)
-        assert solve_scc_wise(sub)[0] == solve(sub)[0]
 
 
 def test_find_dominion_single_even_loop():
@@ -192,14 +180,16 @@ def test_default_dominion_bound_is_sqrt_ceiling():
     assert [(n, default_dominion_bound(n)) for n, _ in cases] == cases
 
 
-def test_memo_table_rejects_non_partition():
-    table = MemoTable()
-    table.store(0b11, 0b01, 0b10)
-    assert table.lookup(0b11) == (1, 2)
-    with pytest.raises(ValueError):
-        table.store(0b11, 0b01, 0b01)
-    with pytest.raises(ValueError):
-        table.store(0b111, 0b001, 0b010)
+@pytest.mark.parametrize("variant", ["plain", "memo+scc+dom"])
+def test_deep_chain_leaves_recursion_limit_alone(variant):
+    # position v: owner v mod 2, priority v, a self-loop and a move to v-1
+    n = 1500
+    g = mk([v % 2 for v in range(n)], list(range(n)), [[v, v - 1] if v else [v] for v in range(n)])
+    limit = sys.getrecursionlimit()
+    regions, stats = solve(Subgame.whole(g), ALL_CONFIGS[variant])
+    assert regions.of(0).indices() == tuple(range(0, n, 2))
+    assert stats.max_depth == n + 1
+    assert sys.getrecursionlimit() == limit
 
 
 @settings(max_examples=80, deadline=None)
@@ -207,11 +197,11 @@ def test_memo_table_rejects_non_partition():
 def test_variants_agree_on_random_games(seed, n):
     sub = Subgame.whole(gen_random(n, seed))
     baseline, _ = solve(sub)
-    assert baseline.of(0).isdisjoint(baseline.of(1))
-    assert (baseline.of(0) | baseline.of(1)) == sub.alive
-    full = solve(sub, ALL_CONFIGS["memo+scc+dom"])[0]
-    assert full == baseline
-    assert solve_scc_wise(sub)[0] == baseline
+    for cfg in ALL_CONFIGS.values():
+        regions, _ = solve(sub, cfg)
+        assert regions.of(0).isdisjoint(regions.of(1))
+        assert (regions.of(0) | regions.of(1)) == sub.alive
+        assert regions == baseline
 
 
 def test_solver_is_deterministic():

@@ -64,8 +64,9 @@ class ParityGame:
     """An immutable master arena.
 
     Construction precomputes predecessor lists, per-position successor
-    masks and a priority-descending index used by ``max_priority``, so the
-    solver can run on raw masks without touching Python-level sets.
+    and predecessor masks (``succ_masks``, ``pred_masks``) and a
+    priority-descending index used by ``max_priority``, so the solver can
+    run on raw masks without touching Python-level sets.
 
     Successor lists keep their given order (deduplicated); that order is
     part of the deterministic behaviour of everything built on top.
@@ -78,6 +79,7 @@ class ParityGame:
         "successors",
         "predecessors",
         "succ_masks",
+        "pred_masks",
         "priority_levels",
         "owner_masks",
         "labels",
@@ -121,11 +123,14 @@ class ParityGame:
             succ_t.append(tuple(row))
 
         preds: list[list[int]] = [[] for _ in range(n)]
+        pred_masks = [0] * n
         masks = []
         for v, row in enumerate(succ_t):
             m = 0
+            bit = 1 << v
             for s in row:
                 preds[s].append(v)
+                pred_masks[s] |= bit
                 m |= 1 << s
             masks.append(m)
 
@@ -143,6 +148,7 @@ class ParityGame:
         object.__setattr__(self, "successors", tuple(succ_t))
         object.__setattr__(self, "predecessors", tuple(tuple(p) for p in preds))
         object.__setattr__(self, "succ_masks", tuple(masks))
+        object.__setattr__(self, "pred_masks", tuple(pred_masks))
         object.__setattr__(
             self, "priority_levels", tuple(sorted(by_pr.items(), reverse=True))
         )

@@ -35,7 +35,7 @@ class BadIndex(GameError):
     """Raised when a family parameter is outside its domain."""
 
 
-_LABEL_RE = re.compile(r"^(?:([abg])(\d+)|d(\d+)_(\d+)_([01]))$")
+_LABEL_RE = re.compile(r"([abg])([0-9]+)|d([0-9]+)_([0-9]+)_([01])")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class FamilyLabel:
 
     @classmethod
     def parse(cls, name: str) -> Optional["FamilyLabel"]:
-        m = _LABEL_RE.match(name)
+        m = _LABEL_RE.fullmatch(name)
         if not m:
             return None
         try:
@@ -84,7 +84,7 @@ class FamilyLabel:
                 role = {"a": "alpha", "b": "beta", "g": "gamma"}[m.group(1)]
                 return cls(role, int(m.group(2)))
             return cls("delta", int(m.group(3)), int(m.group(4)), int(m.group(5)))
-        except BadIndex:
+        except (BadIndex, ValueError):  # ValueError: past int()'s digit limit
             return None
 
     @classmethod

@@ -183,6 +183,34 @@ def _scc_masks(game: ParityGame, alive: int) -> list[int]:
     return comps
 
 
+def _closure(step_masks: tuple[int, ...], within: int, start: int) -> int:
+    # positions of ``within`` reachable from ``start`` along ``step_masks``
+    reach = front = start
+    while front:
+        nxt = 0
+        while front:
+            low = front & -front
+            nxt |= step_masks[low.bit_length() - 1]
+            front ^= low
+        front = nxt & within & ~reach
+        reach |= front
+    return reach
+
+
+def _first_scc(game: ParityGame, alive: int) -> int:
+    # ``_scc_masks(game, alive)[0]``, mostly without running Tarjan.
+    # Tarjan's first DFS tree starts at the lowest alive position r and
+    # covers exactly its forward closure F, so the first component
+    # emitted lies in F and is found by Tarjan on F alone (F is closed
+    # under alive moves).  When every position of F reaches r, F is that
+    # component.
+    r = alive & -alive
+    f = _closure(game.succ_masks, alive, r)
+    if _closure(game.pred_masks, f, r) == f:
+        return f
+    return _scc_masks(game, f)[0]
+
+
 def scc_split(g: Subgame) -> list[PositionSet]:
     """Strongly connected components of the alive part, terminal first.
 
@@ -418,12 +446,11 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 r0, r1 = yield alive & ~a
                 return (r0 | a, r1) if p == 0 else (r0, r1 | a)
         if scc_on:
-            comps = _scc_masks(game, alive)
-            if len(comps) > 1:
+            comp = _first_scc(game, alive)
+            if comp != alive:
                 # solve a terminal component, attract both of its regions
                 # within what is left, and repeat on the rest
                 rem = alive
-                comp = comps[0]
                 w0 = w1 = 0
                 while True:
                     c0, c1 = yield comp
@@ -435,7 +462,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                     w1 |= a1
                     if not rem:
                         return w0, w1
-                    comp = _scc_masks(game, rem)[0]
+                    comp = _first_scc(game, rem)
         pr, holders = _max_priority_mask(game, alive)
         p = pr & 1
         a = _attractor_mask(game, alive, holders, p)

@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritylab import (
     BenchRecord,
@@ -83,6 +85,37 @@ def test_parse_flags_positions_without_moves():
     with pytest.raises(NotLeftTotal) as exc:
         parse_pgsolver("parity 1; 0 2 0 1; 1 1 1;")
     assert exc.value.line == 1
+
+
+_PG_PIECES = st.sampled_from(
+    ["parity", " ", "\n", ";", ",", '"', "0", "1", "2", "7", "-1", "x", "a", "d", "_", "\u0663", "\t"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=60), st.lists(_PG_PIECES, max_size=40).map("".join)))
+def test_parse_fails_only_with_parse_error(text):
+    try:
+        g = parse_pgsolver(text)
+    except ParseError:
+        return
+    assert g.n >= 1
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "a" + "1" * 5000,  # past int()'s 4,300-digit limit
+        "a\u0663",  # ARABIC-INDIC DIGIT THREE is not an ASCII digit
+        "a3\n",  # a trailing newline is part of the name
+    ],
+    ids=["huge-index", "non-ascii-digit", "trailing-newline"],
+)
+def test_parse_keeps_near_miss_role_names_as_strings(name):
+    text = f'parity 0;\n0 1 0 0 "{name}";\n'
+    g = parse_pgsolver(text)
+    assert g.labels == (name,)
+    assert write_pgsolver(g) == text
 
 
 def test_write_matches_golden_file():

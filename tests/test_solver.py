@@ -23,6 +23,7 @@ from paritylab import (
     right_step,
     scc_split,
     solve,
+    solver,
 )
 
 from conftest import mk, names
@@ -180,16 +181,45 @@ def test_default_dominion_bound_is_sqrt_ceiling():
     assert [(n, default_dominion_bound(n)) for n, _ in cases] == cases
 
 
+def _chain(n):
+    # position v: owner v mod 2, priority v, a self-loop and a move to v-1;
+    # player 0 wins exactly the even positions
+    return mk([v % 2 for v in range(n)], list(range(n)), [[v, v - 1] if v else [v] for v in range(n)])
+
+
 @pytest.mark.parametrize("variant", ["plain", "memo+scc+dom"])
 def test_deep_chain_leaves_recursion_limit_alone(variant):
-    # position v: owner v mod 2, priority v, a self-loop and a move to v-1
     n = 1500
-    g = mk([v % 2 for v in range(n)], list(range(n)), [[v, v - 1] if v else [v] for v in range(n)])
+    g = _chain(n)
     limit = sys.getrecursionlimit()
     regions, stats = solve(Subgame.whole(g), ALL_CONFIGS[variant])
     assert regions.of(0).indices() == tuple(range(0, n, 2))
     assert stats.max_depth == n + 1
     assert sys.getrecursionlimit() == limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10_000), st.data())
+def test_first_scc_matches_tarjan(n, seed, data):
+    # any non-empty alive set, not only attractor complements: the
+    # subgame need not be left-total
+    g = gen_random(n, seed)
+    alive = data.draw(st.integers(1, g.full_mask))
+    assert solver._first_scc(g, alive) == solver._scc_masks(g, alive)[0]
+
+
+def test_scc_layer_runs_no_tarjan_on_a_chain(monkeypatch):
+    # each lowest alive position is a one-position terminal component,
+    # which the closure check finds without Tarjan
+    n = 300
+    g = _chain(n)
+    runs = []
+    tarjan = solver._scc_masks
+    monkeypatch.setattr(solver, "_scc_masks", lambda game, alive: runs.append(alive) or tarjan(game, alive))
+    regions, stats = solve(Subgame.whole(g), ALL_CONFIGS["scc"])
+    assert runs == []
+    assert regions.of(0).indices() == tuple(range(0, n, 2))
+    assert (stats.total_calls, stats.distinct_subgames, stats.max_depth) == (2 * n + 1, n + 2, 3)
 
 
 @settings(max_examples=80, deadline=None)

@@ -63,10 +63,10 @@ def _bits(mask: int) -> Iterator[int]:
 class ParityGame:
     """An immutable master arena.
 
-    Construction precomputes predecessor lists, per-position successor
-    and predecessor masks (``succ_masks``, ``pred_masks``) and a
-    priority-descending index used by ``max_priority``, so the solver can
-    run on raw masks without touching Python-level sets.
+    Construction precomputes per-position successor and predecessor masks
+    (``succ_masks``, ``pred_masks``) and a priority-descending index used
+    by ``max_priority``, so the solver can run on raw masks without
+    touching Python-level sets.
 
     Successor lists keep their given order (deduplicated); that order is
     part of the deterministic behaviour of everything built on top.
@@ -77,7 +77,6 @@ class ParityGame:
         "owners",
         "priorities",
         "successors",
-        "predecessors",
         "succ_masks",
         "pred_masks",
         "priority_levels",
@@ -122,14 +121,12 @@ class ParityGame:
                 raise NotAGame(f"position {v} has no moves")
             succ_t.append(tuple(row))
 
-        preds: list[list[int]] = [[] for _ in range(n)]
         pred_masks = [0] * n
         masks = []
         for v, row in enumerate(succ_t):
             m = 0
             bit = 1 << v
             for s in row:
-                preds[s].append(v)
                 pred_masks[s] |= bit
                 m |= 1 << s
             masks.append(m)
@@ -146,7 +143,6 @@ class ParityGame:
         object.__setattr__(self, "owners", owners_t)
         object.__setattr__(self, "priorities", priorities_t)
         object.__setattr__(self, "successors", tuple(succ_t))
-        object.__setattr__(self, "predecessors", tuple(tuple(p) for p in preds))
         object.__setattr__(self, "succ_masks", tuple(masks))
         object.__setattr__(self, "pred_masks", tuple(pred_masks))
         object.__setattr__(
@@ -385,33 +381,30 @@ def _predecessor_mask(game: ParityGame, alive: int, target: int, p: int) -> int:
 
 
 def _attractor_mask(game: ParityGame, alive: int, seed: int, p: int) -> int:
-    result = seed
-    stack = list(_bits(seed))
-    owners = game.owners
-    preds = game.predecessors
+    # grow one layer of predecessors at a time; ``free`` holds the alive
+    # positions not attracted yet
+    pred_masks = game.pred_masks
     succ_masks = game.succ_masks
-    counts: dict[int, int] = {}
-    while stack:
-        v = stack.pop()
-        for u in preds[v]:
-            bit = 1 << u
-            if not alive & bit or result & bit:
-                continue
-            if owners[u] == p:
-                result |= bit
-                stack.append(u)
-            else:
-                c = counts.get(u)
-                if c is None:
-                    # alive successors not yet attracted, counting this one
-                    c = (succ_masks[u] & alive).bit_count()
-                c -= 1
-                if c == 0:
-                    result |= bit
-                    stack.append(u)
-                else:
-                    counts[u] = c
-    return result
+    own = game.owner_masks[p]
+    free = alive & ~seed
+    front = seed
+    while front:
+        cand = 0
+        while front:
+            low = front & -front
+            cand |= pred_masks[low.bit_length() - 1]
+            front ^= low
+        cand &= free
+        front = cand & own
+        free ^= front
+        opp = cand ^ front
+        while opp:
+            low = opp & -opp
+            if not succ_masks[low.bit_length() - 1] & free:
+                front |= low
+                free ^= low
+            opp ^= low
+    return seed | alive & ~free
 
 
 def _require_inside(g: Subgame, s: PositionSet, what: str) -> None:
@@ -448,8 +441,10 @@ def predecessor(g: Subgame, target: PositionSet, p: Player | int) -> PositionSet
 def attractor(g: Subgame, seed: PositionSet, p: Player | int) -> PositionSet:
     """Least superset of ``seed`` closed under ``predecessor`` for ``p``.
 
-    Computed by backward propagation with per-position successor counters,
-    O(n + m) per call.
+    Grown one layer of predecessors at a time over the precomputed
+    predecessor masks: a position of ``p`` joins when it has a move into
+    the last layer, an opponent position when none of its alive moves
+    leads outside the attractor.
     """
     _require_inside(g, seed, "seed")
     return PositionSet(

@@ -252,12 +252,6 @@ class FamilyIndex:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("FamilyIndex is immutable")
 
-    def core_set(self) -> PositionSet:
-        return PositionSet(self.game, self.core_mask)
-
-    def extension_set(self) -> PositionSet:
-        return PositionSet(self.game, self.extension_mask)
-
 
 def _expected_core_successors(k: int, lab: FamilyLabel) -> set[FamilyLabel]:
     i = lab.i

@@ -64,6 +64,7 @@ class NotLeftTotal(ParseError):
 
 
 _NAME_RE = re.compile(r'"([^"]*)"\s*$')
+_DIGITS_RE = re.compile(r"[0-9]+")
 
 _GENERATORS = {"core": gen_core, "scc": gen_scc}
 
@@ -88,13 +89,14 @@ def _statements(text: str):
 
 
 def _int_field(line_no: int, token: str, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
-    if value < 0:
-        raise ParseError(line_no, f"{what} must be non-negative, got {value}")
-    return value
+    # ASCII decimal digits only: int() also takes other digits, '_' and '+',
+    # which a written game would not give back
+    if _DIGITS_RE.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise ParseError(line_no, f"{what} must be a non-negative integer, got {token!r}")
 
 
 def parse_pgsolver(text: str) -> ParityGame:

@@ -426,8 +426,11 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     """
     game = g.game
     stats = SolveStats()
-    memo: Optional[dict[int, tuple[int, int]]] = {} if cfg.memoization else None
-    seen: set[int] = set()
+    memo = cfg.memoization
+    # every entered alive mask; with memoization, mapped to its (w0, w1)
+    # once solved.  A running call's entry is still None, but no call
+    # meets it again: every child is strictly smaller than its parent.
+    seen: dict[int, Optional[tuple[int, int]]] = {}
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
@@ -477,7 +480,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
         return (wp, alive & ~wp) if p == 0 else (alive & ~wp, wp)
 
     frames: list[Generator[int, tuple[int, int], tuple[int, int]]] = []
-    masks: list[int] = []  # alive mask of each frame, kept for the memo only
+    masks: list[int] = []  # alive mask of each frame
     child = g.alive.mask
     t0 = perf_counter()
     try:
@@ -488,19 +491,16 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 stats.max_depth = len(frames) + 1
             if limit is not None and stats.total_calls > limit:
                 raise CallLimitExceeded(limit, stats)
-            result = memo.get(child) if memo is not None else None
+            result = seen.setdefault(child)
             if result is not None:
                 stats.memo_hits += 1
+            elif child:
+                frames.append(call(child))
+                masks.append(child)
             else:
-                seen.add(child)
-                if child:
-                    frames.append(call(child))
-                    if memo is not None:
-                        masks.append(child)
-                else:
-                    result = (0, 0)
-                    if memo is not None:
-                        memo[0] = result
+                result = (0, 0)
+                if memo:
+                    seen[0] = result
             # run the top frame until it asks for a child, handing each
             # finished call's result to the frame below
             while frames:
@@ -510,8 +510,9 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 except StopIteration as done:
                     frames.pop()
                     result = done.value
-                    if memo is not None:
-                        memo[masks.pop()] = result
+                    done_mask = masks.pop()
+                    if memo:
+                        seen[done_mask] = result
             else:
                 break
     finally:

@@ -21,6 +21,8 @@ from paritylab import (
     remove,
 )
 
+from paritylab.core import _attractor_mask, _predecessor_mask
+
 from conftest import mk
 
 
@@ -209,3 +211,33 @@ def test_attractor_is_a_closure(seed, n, p):
     assert attractor(sub, a, p) == a  # idempotent
     assert predecessor(sub, a, p).issubset(a)  # a fixpoint of one-step forcing
     remove(sub, a)  # the complement always stays a playable game
+
+
+def _least_fixpoint(g, alive, seed, p):
+    # the attractor by its definition: iterate one-step forcing from seed
+    a = seed
+    while True:
+        nxt = a | _predecessor_mask(g, alive, a, p)
+        if nxt == a:
+            return a
+        a = nxt
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 40),
+    st.booleans(),
+    st.integers(0, 2**40 - 1),
+    st.integers(0, 1),
+    st.integers(0, 2**40 - 1),
+    st.integers(0, 1),
+)
+def test_attractor_is_the_least_fixpoint(game_seed, n, whole, cut, q, pick, p):
+    g = gen_random(n, game_seed)
+    alive = g.full_mask
+    if not whole:
+        # the complement of an attractor is a subgame
+        alive &= ~_least_fixpoint(g, alive, cut & alive, q)
+    seed = pick & alive
+    assert _attractor_mask(g, alive, seed, p) == _least_fixpoint(g, alive, seed, p)

@@ -69,6 +69,11 @@ def test_parse_revives_role_labels_and_keeps_strings():
         ("0 2 0 1,,1;\n1 1 1 0;", 1),  # empty successor entry
         ("0 2 0 x;\n1 1 1 0;", 1),  # non-numeric field
         ("parity 3;", 1),  # no positions at all
+        # fields are ASCII decimal digits only; int() would take these
+        pytest.param("0 \u0663 0 0;", 1, id="non-ascii-digit-field"),
+        pytest.param("0 1_0 0 0;", 1, id="underscore-field"),
+        pytest.param("0 +1 0 0;", 1, id="plus-sign-field"),
+        pytest.param("0 -1 0 0;", 1, id="negative-field"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

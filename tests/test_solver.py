@@ -168,6 +168,11 @@ def test_call_limit_carries_partial_stats():
         solve(sub, SolverConfig(call_limit=5))
     assert exc.value.limit == 5
     assert exc.value.stats.total_calls == 6
+    # with the memo, the in-flight calls count as distinct subgames
+    with pytest.raises(CallLimitExceeded) as exc:
+        solve(sub, SolverConfig(memoization=True, call_limit=40))
+    s = exc.value.stats
+    assert (s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth) == (41, 30, 10, 11)
 
 
 def test_dominion_bound_must_be_positive(whole_core1):

@@ -19,7 +19,6 @@ from .core import (
     Regions,
     Subgame,
     attractor,
-    is_dominion,
     max_priority,
     predecessor,
     remove,
@@ -40,6 +39,7 @@ from .solver import (
     SolverConfig,
     default_dominion_bound,
     find_dominion,
+    is_dominion,
     left_step,
     right_step,
     scc_split,
@@ -83,7 +83,6 @@ __all__ = [
     "Regions",
     "Subgame",
     "attractor",
-    "is_dominion",
     "max_priority",
     "predecessor",
     "remove",
@@ -101,6 +100,7 @@ __all__ = [
     "SolverConfig",
     "default_dominion_bound",
     "find_dominion",
+    "is_dominion",
     "left_step",
     "right_step",
     "scc_split",

@@ -386,7 +386,7 @@ def _attractor_mask(game: ParityGame, alive: int, seed: int, p: int) -> int:
     pred_masks = game.pred_masks
     succ_masks = game.succ_masks
     own = game.owner_masks[p]
-    free = alive & ~seed
+    rest = free = alive & ~seed
     front = seed
     while front:
         cand = 0
@@ -404,7 +404,9 @@ def _attractor_mask(game: ParityGame, alive: int, seed: int, p: int) -> int:
                 front |= low
                 free ^= low
             opp ^= low
-    return seed | alive & ~free
+    # hand back ``seed`` itself when nothing joined, so callers that keep
+    # both masks keep one int
+    return seed if free == rest else seed | alive & ~free
 
 
 def _require_inside(g: Subgame, s: PositionSet, what: str) -> None:
@@ -461,37 +463,3 @@ def remove(g: Subgame, a: PositionSet) -> Subgame:
     _require_inside(g, a, "removed set")
     return Subgame(g.game, PositionSet(g.game, g.alive.mask & ~a.mask))
 
-
-def is_dominion(g: Subgame, d: PositionSet, p: Player | int) -> bool:
-    """Whether ``d`` is a dominion for player ``p`` inside ``g``.
-
-    Three conditions: the opponent cannot leave ``d`` (every alive move of
-    an opponent position in ``d`` stays in ``d``), player ``p`` can stay
-    (every ``p`` position in ``d`` keeps a move into ``d``), and ``p``
-    wins the whole subgame induced by ``d``.
-    """
-    _require_inside(g, d, "candidate dominion")
-    if not d:
-        raise EmptyGame("a dominion must be non-empty")
-    p = int(p)
-    game = g.game
-    alive = g.alive.mask
-    dm = d.mask
-    owners = game.owners
-    succ_masks = game.succ_masks
-    m = dm
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        sm = succ_masks[v] & alive
-        if owners[v] == p:
-            if not sm & dm:
-                return False
-        elif sm & ~dm:
-            return False
-        m ^= low
-
-    from .solver import SolverConfig, solve  # deferred: solver builds on this module
-
-    regions, _ = solve(Subgame(game, d), SolverConfig())
-    return regions.of(p).mask == dm

@@ -9,8 +9,10 @@ more.  Three independently switchable layers wrap it:
   within one top-level call;
 * SCC decomposition splits the current subgame into strongly connected
   components at every entry and solves terminal components first;
-* dominion decomposition brute-force searches each entered subgame for a
-  small dominion before doing anything else.
+* dominion decomposition brute-force searches each entered subgame of
+  ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
+  anything else.  ``is_dominion`` certifies a given candidate: a closed
+  trap for the opponent that a plain solve of it gives to the player.
 
 None of the layers ever changes the returned regions, only the shape and
 amount of work, which the returned ``SolveStats`` makes observable.
@@ -24,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from time import perf_counter
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from .core import (
+    EmptyGame,
     GameError,
     ParityGame,
     Player,
@@ -36,6 +39,7 @@ from .core import (
     _attractor_mask,
     _bits,
     _max_priority_mask,
+    _require_inside,
     attractor,
     max_priority,
     remove,
@@ -61,17 +65,16 @@ def default_dominion_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Which enhancement layers to enable and how far they may go.
+    """Which enhancement layers to enable, and an optional cap on calls.
 
-    ``dominion_bound`` maps the size of the entered subgame to the
-    largest dominion the preprocessing searches for; it must return at
-    least 1 on every positive size.
+    The dominion preprocessing searches every entered subgame of ``n``
+    positions for a dominion of at most ``default_dominion_bound(n)``
+    positions.
     """
 
     memoization: bool = False
     scc_decomposition: bool = False
     dominion_decomposition: bool = False
-    dominion_bound: Callable[[int], int] = default_dominion_bound
     call_limit: Optional[int] = None
 
 
@@ -408,6 +411,39 @@ def find_dominion(
     return PositionSet(g.game, d), Player(p)
 
 
+def is_dominion(g: Subgame, d: PositionSet, p: Player | int) -> bool:
+    """Whether ``d`` is a dominion for player ``p`` inside ``g``.
+
+    Three conditions: the opponent cannot leave ``d`` (every alive move of
+    an opponent position in ``d`` stays in ``d``), player ``p`` can stay
+    (every ``p`` position in ``d`` keeps a move into ``d``), and ``p``
+    wins the whole subgame induced by ``d``.
+    """
+    _require_inside(g, d, "candidate dominion")
+    if not d:
+        raise EmptyGame("a dominion must be non-empty")
+    p = int(p)
+    game = g.game
+    alive = g.alive.mask
+    dm = d.mask
+    owners = game.owners
+    succ_masks = game.succ_masks
+    m = dm
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        sm = succ_masks[v] & alive
+        if owners[v] == p:
+            if not sm & dm:
+                return False
+        elif sm & ~dm:
+            return False
+        m ^= low
+
+    regions, _ = solve(Subgame(game, d))
+    return regions.of(p).mask == dm
+
+
 # ---------------------------------------------------------------------------
 # the solver proper
 
@@ -434,14 +470,11 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
-    bound_fn = cfg.dominion_bound
 
     def call(alive: int) -> Generator[int, tuple[int, int], tuple[int, int]]:
         # one call on a non-empty alive set
         if dom_on:
-            bound = bound_fn(alive.bit_count())
-            if bound < 1:
-                raise ValueError("dominion_bound must be >= 1 on positive sizes")
+            bound = default_dominion_bound(alive.bit_count())
             found = _find_dominion_mask(game, alive, bound, (0, 1), stats)
             if found is not None:
                 d, p = found

@@ -142,13 +142,21 @@ def test_check_core_extension_accepts_families():
         assert check_core_extension(gen_scc(k), k).passed
 
 
-def _rebuild(game, priorities=None, successors=None):
+def _rebuild(game, owners=None, priorities=None, successors=None, labels=None):
     return ParityGame(
-        game.owners,
+        owners or game.owners,
         priorities or game.priorities,
         successors or [list(r) for r in game.successors],
-        labels=game.labels,
+        labels=labels or game.labels,
     )
+
+
+def _edit(seq, changes):
+    # a list copy of ``seq`` with the entries at the given positions replaced
+    out = list(seq)
+    for v, value in changes.items():
+        out[v] = value
+    return out
 
 
 def test_check_core_extension_flags_high_extension_priority(scc1):
@@ -175,11 +183,32 @@ def test_check_core_extension_flags_hub_escape_without_return(scc1):
 
 
 def test_check_core_extension_flags_core_tampering(core1):
-    succ = [list(r) for r in core1.successors]
-    succ[5].remove(5)  # drop the g1 self-loop
-    report = check_core_extension(_rebuild(core1, successors=succ), 1)
-    assert not report.passed
-    assert any(i.item == "core-intact" for i in report.failures)
+    # core1 positions: a0 b0 g0 a1 b1 g1 a2 b2 g2 = 0..8
+    g = core1
+    succ = [list(r) for r in g.successors]
+    labs = g.labels
+    cases = {
+        "self-loop-dropped": _rebuild(g, successors=_edit(succ, {5: [4, 6]})),
+        "owner-flipped": _rebuild(g, owners=_edit(g.owners, {4: 0})),
+        "priority-changed": _rebuild(g, priorities=_edit(g.priorities, {5: 3})),
+        "labels-swapped": _rebuild(g, labels=_edit(labs, {0: labs[1], 1: labs[0]})),
+        "non-family-label": _rebuild(g, labels=_edit(labs, {8: "x8"})),
+        "label-duplicated": _rebuild(g, labels=_edit(labs, {7: labs[6]})),
+        "extra-core-move": _rebuild(g, successors=_edit(succ, {0: [1, 2]})),
+    }
+    for name, game in cases.items():
+        report = check_core_extension(game, 1)
+        assert "core-intact" in {i.item for i in report.failures}, name
+
+
+def test_check_core_extension_ignores_connector_labels():
+    # the core is checked under its labels; connector labels play no part
+    g = gen_scc(2)
+    idx = FamilyIndex(g)
+    u, v = idx.delta[(0, 1, 0)], idx.delta[(1, 3, 1)]
+    labels = _edit(g.labels, {u: g.labels[v], v: g.labels[u]})
+    report = check_core_extension(_rebuild(g, labels=labels), 2)
+    assert ("core-intact", True) in [(i.item, i.passed) for i in report.items]
 
 
 @settings(max_examples=30, deadline=None)

@@ -25,18 +25,9 @@ from paritylab import (
     solve,
     solver,
 )
+from paritylab.harness import VARIANTS
 
 from conftest import mk, names
-
-ALL_CONFIGS = {
-    "plain": SolverConfig(),
-    "memo": SolverConfig(memoization=True),
-    "scc": SolverConfig(scc_decomposition=True),
-    "memo+scc": SolverConfig(memoization=True, scc_decomposition=True),
-    "memo+scc+dom": SolverConfig(
-        memoization=True, scc_decomposition=True, dominion_decomposition=True
-    ),
-}
 
 
 def test_solve_hand_game():
@@ -84,7 +75,7 @@ def test_right_step_reproduces_sibling(whole_core1, core1):
 def test_all_variants_agree():
     for g in (gen_core(2), gen_scc(1)):
         sub = Subgame.whole(g)
-        answers = {name: solve(sub, cfg)[0] for name, cfg in ALL_CONFIGS.items()}
+        answers = {name: solve(sub, cfg)[0] for name, cfg in VARIANTS.items()}
         baseline = answers["plain"]
         assert all(r == baseline for r in answers.values())
         assert not baseline.of(1)  # both families are fully won by player 0
@@ -101,7 +92,7 @@ def test_memoization_hits_and_distinct_counts():
 
 def test_scc_decomposition_collapses_core_counts():
     sub = Subgame.whole(gen_core(2))
-    _, stats = solve(sub, ALL_CONFIGS["memo+scc"])
+    _, stats = solve(sub, VARIANTS["memo+scc"])
     assert stats.distinct_subgames == 20  # linear in k instead of exponential
 
 
@@ -175,12 +166,6 @@ def test_call_limit_carries_partial_stats():
     assert (s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth) == (41, 30, 10, 11)
 
 
-def test_dominion_bound_must_be_positive(whole_core1):
-    cfg = SolverConfig(dominion_decomposition=True, dominion_bound=lambda n: 0)
-    with pytest.raises(ValueError):
-        solve(whole_core1, cfg)
-
-
 def test_default_dominion_bound_is_sqrt_ceiling():
     cases = [(1, 1), (2, 2), (4, 2), (5, 3), (9, 3), (10, 4), (16, 4), (17, 5)]
     assert [(n, default_dominion_bound(n)) for n, _ in cases] == cases
@@ -197,7 +182,7 @@ def test_deep_chain_leaves_recursion_limit_alone(variant):
     n = 1500
     g = _chain(n)
     limit = sys.getrecursionlimit()
-    regions, stats = solve(Subgame.whole(g), ALL_CONFIGS[variant])
+    regions, stats = solve(Subgame.whole(g), VARIANTS[variant])
     assert regions.of(0).indices() == tuple(range(0, n, 2))
     assert stats.max_depth == n + 1
     assert sys.getrecursionlimit() == limit
@@ -221,7 +206,7 @@ def test_scc_layer_runs_no_tarjan_on_a_chain(monkeypatch):
     runs = []
     tarjan = solver._scc_masks
     monkeypatch.setattr(solver, "_scc_masks", lambda game, alive: runs.append(alive) or tarjan(game, alive))
-    regions, stats = solve(Subgame.whole(g), ALL_CONFIGS["scc"])
+    regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
     assert runs == []
     assert regions.of(0).indices() == tuple(range(0, n, 2))
     assert (stats.total_calls, stats.distinct_subgames, stats.max_depth) == (2 * n + 1, n + 2, 3)
@@ -232,7 +217,7 @@ def test_scc_layer_runs_no_tarjan_on_a_chain(monkeypatch):
 def test_variants_agree_on_random_games(seed, n):
     sub = Subgame.whole(gen_random(n, seed))
     baseline, _ = solve(sub)
-    for cfg in ALL_CONFIGS.values():
+    for cfg in VARIANTS.values():
         regions, _ = solve(sub, cfg)
         assert regions.of(0).isdisjoint(regions.of(1))
         assert (regions.of(0) | regions.of(1)) == sub.alive
@@ -242,8 +227,8 @@ def test_variants_agree_on_random_games(seed, n):
 def test_solver_is_deterministic():
     g = gen_scc(2)
     sub = Subgame.whole(g)
-    a = solve(sub, ALL_CONFIGS["memo+scc"])
-    b = solve(sub, ALL_CONFIGS["memo+scc"])
+    a = solve(sub, VARIANTS["memo+scc"])
+    b = solve(sub, VARIANTS["memo+scc"])
     assert a[0] == b[0]
     assert a[1].total_calls == b[1].total_calls
     assert a[1].distinct_subgames == b[1].distinct_subgames

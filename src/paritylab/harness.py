@@ -215,6 +215,7 @@ class BenchRecord:
     memo_hits: int
     max_depth: int
     dominion_probes: int
+    dominion_replays: int
     wall_time_ms: float
     won_by_0: bool
     bound_3_2k1: int
@@ -251,6 +252,7 @@ def run_bench(
                         memo_hits=stats.memo_hits,
                         max_depth=stats.max_depth,
                         dominion_probes=stats.dominion_probes,
+                        dominion_replays=stats.dominion_replays,
                         wall_time_ms=stats.wall_time * 1000.0,
                         won_by_0=not regions.w1,
                         bound_3_2k1=3 * (2 ** (k + 1) - 1),
@@ -360,6 +362,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "memo_hits": stats.memo_hits,
         "max_depth": stats.max_depth,
         "dominion_probes": stats.dominion_probes,
+        "dominion_replays": stats.dominion_replays,
         "wall_time_ms": round(stats.wall_time * 1000.0, 3),
     }
     for key, value in summary.items():

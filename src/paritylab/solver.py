@@ -11,8 +11,12 @@ more.  Three independently switchable layers wrap it:
   components at every entry and solves terminal components first;
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
-  anything else.  ``is_dominion`` certifies a given candidate: a closed
-  trap for the opponent that a plain solve of it gives to the player.
+  anything else.  A search reads the alive set only at the successors
+  of the positions it visits, so one solve keeps, per seed, player and
+  size bound, the last search it ran and replays it (its result, plus
+  its probes on the counter) when the alive set has not changed there.
+  ``is_dominion`` certifies a given candidate: a closed trap for the
+  opponent that a plain solve of it gives to the player.
 
 None of the layers ever changes the returned regions, only the shape and
 amount of work, which the returned ``SolveStats`` makes observable.
@@ -80,13 +84,20 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    """Instrumentation counters for one top-level solve."""
+    """Instrumentation counters for one top-level solve.
+
+    ``dominion_probes`` counts the search states the dominion layer
+    examined, replayed searches included; ``dominion_replays`` counts the
+    searches (one per seed and player) answered from the solve's record
+    of earlier searches instead of run again.
+    """
 
     total_calls: int = 0
     distinct_subgames: int = 0
     memo_hits: int = 0
     max_depth: int = 0
     dominion_probes: int = 0
+    dominion_replays: int = 0
     wall_time: float = 0.0
 
 
@@ -258,15 +269,137 @@ def _certify(game: ParityGame, p: int, members: int, edge: dict[int, int]) -> bo
     return True
 
 
-def _search_dominion(
+class _Search:
+    # what the probes of one search share; ``touched`` grows as they run
+    __slots__ = (
+        "game", "alive", "p", "budget", "forbidden", "opp_mask", "edge", "stats", "touched",
+    )
+
+    def __init__(
+        self, game: ParityGame, alive: int, seed: int, p: int, budget: int, stats: SolveStats
+    ) -> None:
+        self.game = game
+        self.alive = alive
+        self.p = p
+        self.budget = budget
+        self.forbidden = (1 << seed) - 1
+        self.opp_mask = game.owner_masks[1 - p] & alive
+        self.edge: dict[int, int] = {}
+        self.stats = stats
+        self.touched = 1 << seed
+
+
+def _bad_edge(prs: tuple[int, ...], p: int, edge: dict[int, int], u: int, targets: int) -> bool:
+    # a cycle already present in the partial graph can never go away
+    if targets >> u & 1 and prs[u] & 1 != p:
+        return True
+    t = targets
+    while t:
+        low = t & -t
+        s = low.bit_length() - 1
+        if edge.get(s, 0) >> u & 1:
+            m = prs[u] if prs[u] >= prs[s] else prs[s]
+            if m & 1 != p:
+                return True
+        t ^= low
+    return False
+
+
+def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional[int]:
+    # one probe: force every opponent member, then branch on the lowest
+    # unprocessed member, which belongs to the searched player
+    st.stats.dominion_probes += 1
+    game = st.game
+    prs = game.priorities
+    succ_masks = game.succ_masks
+    alive = st.alive
+    p = st.p
+    budget = st.budget
+    forbidden = st.forbidden
+    opp_mask = st.opp_mask
+    edge = st.edge
+    touched = 0
+    found = None
+    mine: list[int] = []
+    viable = True
+    while viable:
+        forced = members & ~processed & opp_mask
+        if not forced:
+            break
+        low = forced & -forced
+        u = low.bit_length() - 1
+        sm = succ_masks[u]
+        touched |= sm
+        t = sm & alive
+        if t & forbidden or _bad_edge(prs, p, edge, u, t):
+            viable = False
+            break
+        fresh = t & ~members
+        members |= t
+        processed |= low
+        edge[u] = t
+        mine.append(u)
+        committed |= t
+        nb = fresh & opp_mask
+        while nb:
+            l2 = nb & -nb
+            sm = succ_masks[l2.bit_length() - 1]
+            touched |= sm
+            committed |= sm & alive
+            nb ^= l2
+        if committed & forbidden or committed.bit_count() > budget:
+            viable = False
+    if viable:
+        unproc = members & ~processed
+        if not unproc:
+            if _certify(game, p, members, edge):
+                found = members
+        else:
+            low = unproc & -unproc
+            u = low.bit_length() - 1
+            touched |= succ_masks[u]
+            nproc = processed | low
+            pu = prs[u]
+            u_loop_ok = pu & 1 == p
+            for s in game.successors[u]:
+                t = 1 << s
+                if not alive & t or t & forbidden:
+                    continue
+                if s == u:
+                    if not u_loop_ok:
+                        continue
+                elif edge.get(s, 0) >> u & 1:
+                    m = pu if pu >= prs[s] else prs[s]
+                    if m & 1 != p:
+                        continue
+                ncom = committed | t
+                if t & ~members and t & opp_mask:
+                    sm = succ_masks[s]
+                    touched |= sm
+                    ncom |= sm & alive
+                if ncom & forbidden or ncom.bit_count() > budget:
+                    continue
+                edge[u] = t
+                found = _grow(st, members | t, nproc, ncom)
+                del edge[u]
+                if found is not None:
+                    break
+    for x in mine:
+        del edge[x]
+    st.touched |= touched
+    return found
+
+
+def _search(
     game: ParityGame,
     alive: int,
     seed: int,
     p: int,
     budget: int,
     stats: SolveStats,
-) -> Optional[int]:
-    """First closure of size <= budget whose minimum member is ``seed``.
+) -> tuple[Optional[int], int]:
+    """First closure of size <= budget whose minimum member is ``seed``,
+    and the search's ``touched`` mask.
 
     Restricting each seed to sets it is the minimum of partitions the
     candidate space, so enumerating seeds in ascending order never
@@ -275,98 +408,34 @@ def _search_dominion(
     positions pull in all their alive successors at once.  ``committed``
     tracks members plus everything opponent members will force in later,
     which cuts oversized branches before they unfold.
+
+    ``touched`` is the seed bit plus the successor masks of every
+    position whose alive successors the search read.  Every bit of
+    ``alive`` the search reads lies in ``touched``, so its result and
+    probe count are fixed by ``(seed, p, budget)`` and ``alive & touched``.
     """
-    prs = game.priorities
-    succ_masks = game.succ_masks
-    succ_lists = game.successors
-    forbidden = (1 << seed) - 1
-    opp_mask = game.owner_masks[1 - p] & alive
-    edge: dict[int, int] = {}
-
-    def bad_edge(u: int, targets: int) -> bool:
-        # a cycle already present in the partial graph can never go away
-        if targets >> u & 1 and prs[u] & 1 != p:
-            return True
-        t = targets
-        while t:
-            low = t & -t
-            s = low.bit_length() - 1
-            if edge.get(s, 0) >> u & 1:
-                m = prs[u] if prs[u] >= prs[s] else prs[s]
-                if m & 1 != p:
-                    return True
-            t ^= low
-        return False
-
-    def grow(members: int, processed: int, committed: int) -> Optional[int]:
-        stats.dominion_probes += 1
-        mine: list[int] = []
-        viable = True
-        while viable:
-            forced = members & ~processed & opp_mask
-            if not forced:
-                break
-            low = forced & -forced
-            u = low.bit_length() - 1
-            t = succ_masks[u] & alive
-            if t & forbidden or bad_edge(u, t):
-                viable = False
-                break
-            fresh = t & ~members
-            members |= t
-            processed |= low
-            edge[u] = t
-            mine.append(u)
-            committed |= t
-            nb = fresh & opp_mask
-            while nb:
-                l2 = nb & -nb
-                committed |= succ_masks[l2.bit_length() - 1] & alive
-                nb ^= l2
-            if committed & forbidden or committed.bit_count() > budget:
-                viable = False
-        if viable:
-            unproc = members & ~processed
-            if not unproc:
-                if _certify(game, p, members, edge):
-                    return members
-            else:
-                low = unproc & -unproc
-                u = low.bit_length() - 1
-                nproc = processed | low
-                pu = prs[u]
-                u_loop_ok = pu & 1 == p
-                for s in succ_lists[u]:
-                    t = 1 << s
-                    if not alive & t or t & forbidden:
-                        continue
-                    if s == u:
-                        if not u_loop_ok:
-                            continue
-                    elif edge.get(s, 0) >> u & 1:
-                        m = pu if pu >= prs[s] else prs[s]
-                        if m & 1 != p:
-                            continue
-                    ncom = committed | t
-                    if t & ~members and t & opp_mask:
-                        ncom |= succ_masks[s] & alive
-                    if ncom & forbidden or ncom.bit_count() > budget:
-                        continue
-                    edge[u] = t
-                    res = grow(members | t, nproc, ncom)
-                    del edge[u]
-                    if res is not None:
-                        return res
-        for x in mine:
-            del edge[x]
-        return None
-
+    st = _Search(game, alive, seed, p, budget, stats)
     committed = 1 << seed
-    if committed & opp_mask:
-        committed |= succ_masks[seed] & alive
-        if committed & forbidden or committed.bit_count() > budget:
-            return None
-    return grow(1 << seed, 0, committed)
+    if committed & st.opp_mask:
+        sm = game.succ_masks[seed]
+        st.touched |= sm
+        committed |= sm & alive
+        if committed & st.forbidden or committed.bit_count() > budget:
+            return None, st.touched
+    found = _grow(st, 1 << seed, 0, committed)
+    return found, st.touched
+
+
+def _search_dominion(
+    game: ParityGame,
+    alive: int,
+    seed: int,
+    p: int,
+    budget: int,
+    stats: SolveStats,
+) -> Optional[int]:
+    """The closure ``_search`` finds, without its ``touched`` mask."""
+    return _search(game, alive, seed, p, budget, stats)[0]
 
 
 def _find_dominion_mask(
@@ -375,13 +444,29 @@ def _find_dominion_mask(
     max_size: int,
     players: tuple[int, ...],
     stats: SolveStats,
+    record: dict[int, tuple[int, int, Optional[int], int]],
 ) -> Optional[tuple[int, int]]:
+    # ``record`` maps (seed, p, budget), packed into one int, to the last
+    # search run for it: (touched, alive & touched, result, probes).
+    # When this scan's alive set agrees with that one on ``touched``, the
+    # search would repeat step for step, so its result is reused and its
+    # probes are added.  A fresh ``{}`` makes every search run.
+    base = max_size * game.n
     m = alive
     while m:
         low = m & -m
         seed = low.bit_length() - 1
         for p in players:
-            res = _search_dominion(game, alive, seed, p, max_size, stats)
+            key = (base + seed) << 1 | p
+            entry = record.get(key)
+            if entry is not None and alive & entry[0] == entry[1]:
+                res = entry[2]
+                stats.dominion_probes += entry[3]
+                stats.dominion_replays += 1
+            else:
+                before = stats.dominion_probes
+                res, touched = _search(game, alive, seed, p, max_size, stats)
+                record[key] = (touched, alive & touched, res, stats.dominion_probes - before)
             if res is not None:
                 return res, p
         m ^= low
@@ -404,7 +489,7 @@ def find_dominion(
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if stats is None:
         stats = SolveStats()
-    found = _find_dominion_mask(g.game, g.alive.mask, max_size, players, stats)
+    found = _find_dominion_mask(g.game, g.alive.mask, max_size, players, stats, {})
     if found is None:
         return None
     d, p = found
@@ -470,12 +555,14 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
+    # the dominion searches already run, for replaying (see _find_dominion_mask)
+    record: dict[int, tuple[int, int, Optional[int], int]] = {}
 
     def call(alive: int) -> Generator[int, tuple[int, int], tuple[int, int]]:
         # one call on a non-empty alive set
         if dom_on:
             bound = default_dominion_bound(alive.bit_count())
-            found = _find_dominion_mask(game, alive, bound, (0, 1), stats)
+            found = _find_dominion_mask(game, alive, bound, (0, 1), stats, record)
             if found is not None:
                 d, p = found
                 a = _attractor_mask(game, alive, d, p)

@@ -76,8 +76,8 @@ def test_criterion_02_winner():
         f"W1 empty for 100 solves, {elapsed:.2f}s < 10s"
         if ok
         else f"W1 empty for all 100 solves but took {elapsed:.1f}s > 10s budget "
-        "(single CPU; the two component-splitting variants re-walk the dense "
-        "connector family at k=9..10)",
+        "(single CPU; memo+scc+dom takes the largest share: its dominion search "
+        "scans every subgame of the dense connector family at k=9..10)",
     )
     if not ok:
         pytest.xfail(f"wall budget exceeded: {elapsed:.1f}s > 10s, answers all correct")

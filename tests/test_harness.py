@@ -167,12 +167,12 @@ def test_run_bench_rows_and_csv_shape():
     assert rows[0] == [
         "family", "k", "n", "m", "variant", "total_calls",
         "distinct_subgames", "memo_hits", "max_depth", "dominion_probes",
-        "wall_time_ms", "won_by_0", "bound_3_2k1",
+        "dominion_replays", "wall_time_ms", "won_by_0", "bound_3_2k1",
     ]
     assert len(rows) == 5
-    assert rows[1][0] == "core" and rows[1][11] == "true"
-    assert rows[1][8:10] == ["7", "0"]  # max_depth, dominion_probes
-    wall = rows[1][10]
+    assert rows[1][0] == "core" and rows[1][12] == "true"
+    assert rows[1][8:11] == ["7", "0", "0"]  # max_depth, dominion_probes, dominion_replays
+    wall = rows[1][11]
     assert "." in wall and len(wall.split(".")[1]) == 3
 
 
@@ -222,12 +222,12 @@ def test_cli_solve_round_trip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "n=14" in out and "won_by_0=true" in out and "w1_size=0" in out
-    assert "distinct_subgames=12" in out and "max_depth=7" in out
+    assert "distinct_subgames=12" in out and "max_depth=7" in out and "dominion_replays=0" in out
     w0_line = next(l for l in out.splitlines() if l.startswith("W0:"))
     assert len(w0_line.split()) == 15  # every position listed by source id
     stats = json.loads(stats_file.read_text(encoding="utf-8"))
     assert stats["won_by_0"] is True and stats["n"] == 14
-    assert stats["max_depth"] == 7
+    assert stats["max_depth"] == 7 and stats["dominion_replays"] == 0
 
 
 def test_cli_solve_missing_file(capsys):

@@ -212,6 +212,38 @@ def test_scc_layer_runs_no_tarjan_on_a_chain(monkeypatch):
     assert (stats.total_calls, stats.distinct_subgames, stats.max_depth) == (2 * n + 1, n + 2, 3)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10_000), st.integers(1, 6), st.data())
+def test_dominion_replay_matches_a_fresh_scan(n, seed, fixed, data):
+    # a chain of nested alive sets, as the recursion makes them; each set
+    # is scanned with the bound its size gives and with a fixed bound, so
+    # later scans meet records of earlier ones under the same key
+    g = gen_random(n, seed)
+    record = {}
+    alive = g.full_mask
+    while alive:
+        for bound in (default_dominion_bound(alive.bit_count()), fixed):
+            shared, fresh = SolveStats(), SolveStats()
+            got = solver._find_dominion_mask(g, alive, bound, (0, 1), shared, record)
+            want = solver._find_dominion_mask(g, alive, bound, (0, 1), fresh, {})
+            assert got == want
+            assert shared.dominion_probes == fresh.dominion_probes
+        members = [v for v in range(g.n) if alive >> v & 1]
+        for v in data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3)):
+            alive &= ~(1 << v)
+
+
+def test_dominion_record_is_per_solve():
+    sub = Subgame.whole(gen_scc(3))
+    first, second = (solve(sub, VARIANTS["memo+scc+dom"])[1] for _ in range(2))
+    first.wall_time = second.wall_time = 0.0
+    assert first == second
+    assert first.dominion_replays > 0
+    for name, cfg in VARIANTS.items():
+        if name != "memo+scc+dom":
+            assert solve(sub, cfg)[1].dominion_replays == 0
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 7))
 def test_variants_agree_on_random_games(seed, n):

@@ -19,7 +19,9 @@ Everything here is desk-scale instrumentation.  ``oracle_solve`` and
 ``min_core_dominion`` trade speed for independence: the former solves by
 enumerating positional strategies and searching each one's move graph
 for cycles of odd maximum priority, the latter finds smallest dominions
-by exhaustive bounded closure search.
+by exhaustive bounded closure search.  The oracle shares only core's
+cycle-parity rule with the solver's dominion certifier, and that rule
+has its own definition-level test; it calls nothing from ``solve``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .core import (
     attractor,
     remove,
 )
-from .core import _left_total_violation
+from .core import _cycle_heads, _left_total_violation
 from .families import FamilyIndex, check_core_extension
 from .report import Report
 from .solver import (
@@ -445,38 +447,16 @@ def min_core_dominion(g: Subgame, k: int, size_cap: int) -> Optional[int]:
     return None
 
 
-def _odd_cycle_reachers(
-    positions: tuple[int, ...], prs: tuple[int, ...], edge: Dict[int, int]
-) -> int:
-    # A cycle of odd maximum priority exists exactly when some position x
-    # of odd priority q reaches itself through positions of priority <= q:
-    # x is then the cycle's maximum.  The positions that can reach such an
-    # x are the ones that can reach the cycle.
-    losing = 0
-    for x in positions:
-        q = prs[x]
-        if not q & 1:
-            continue
-        low = 0
-        for v in positions:
-            if prs[v] <= q:
-                low |= 1 << v
-        reached = 0
-        front = edge[x] & low
-        while front and not reached >> x & 1:
-            reached |= front
-            nxt = 0
-            for v in positions:
-                if front >> v & 1:
-                    nxt |= edge[v]
-            front = nxt & low & ~reached
-        if reached >> x & 1:
-            losing |= 1 << x
+def _odd_cycle_reachers(alive: int, prs: tuple[int, ...], edge: Dict[int, int]) -> int:
+    # The positions that reach a cycle of odd maximum priority: the heads
+    # of core's cycle rule for parity 1 are those cycles' maxima, and
+    # everything that reaches a head is grown backwards from them.
+    losing = _cycle_heads(prs, edge, alive, 1)
     grown = losing
     while grown:
         grown = 0
-        for v in positions:
-            if not losing >> v & 1 and edge[v] & losing:
+        for v, moves in edge.items():
+            if not losing >> v & 1 and moves & losing:
                 grown |= 1 << v
         losing |= grown
     return losing
@@ -490,7 +470,9 @@ def oracle_solve(g: Subgame) -> Regions:
     at player-0 positions and every alive move at player-1 positions; a
     position is winning for that strategy when no cycle of odd maximum
     priority is reachable from it.  Player 0 wins wherever some strategy
-    does, player 1 wins the rest.  Shares no machinery with ``solve``.
+    does, player 1 wins the rest.  Shares nothing with ``solve`` but
+    core's cycle-parity rule (``_cycle_heads``, which finds the odd
+    cycles), and that rule has its own definition-level test.
 
     Raises ``TooLarge`` beyond 12 alive positions.
     """
@@ -513,7 +495,7 @@ def oracle_solve(g: Subgame) -> Regions:
         edge = dict(moves)
         for v, s in zip(mine, choice):
             edge[v] = 1 << s
-        w0 |= alive & ~_odd_cycle_reachers(positions, game.priorities, edge)
+        w0 |= alive & ~_odd_cycle_reachers(alive, game.priorities, edge)
         if w0 == alive:
             break
     return Regions(PositionSet(game, w0), PositionSet(game, alive & ~w0))

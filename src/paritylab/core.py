@@ -22,7 +22,7 @@ functions are pure, so instances can be shared freely between threads.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class GameError(Exception):
@@ -407,6 +407,43 @@ def _attractor_mask(game: ParityGame, alive: int, seed: int, p: int) -> int:
     # hand back ``seed`` itself when nothing joined, so callers that keep
     # both masks keep one int
     return seed if free == rest else seed | alive & ~free
+
+
+def _closure(step: Mapping[int, int] | Sequence[int], within: int, start: int) -> int:
+    # positions of ``within`` reachable from ``start`` along ``step``, a
+    # successor (or predecessor) mask per position of ``within``
+    reach = front = start
+    while front:
+        nxt = 0
+        while front:
+            low = front & -front
+            nxt |= step[low.bit_length() - 1]
+            front ^= low
+        front = nxt & within & ~reach
+        reach |= front
+    return reach
+
+
+def _cycle_heads(
+    prs: Sequence[int], step: Mapping[int, int] | Sequence[int], within: int, parity: int
+) -> int:
+    # The cycle-parity rule.  The heads are the positions x of ``within``
+    # whose priority q has ``parity`` and that reach themselves along
+    # ``step`` through positions of ``within`` of priority <= q.  Such an
+    # x is the maximum of a cycle, so the graph ``step`` induces on
+    # ``within`` has a cycle whose maximum priority has ``parity``
+    # exactly when some head exists.
+    levels: dict[int, int] = {}
+    for v in _bits(within):
+        levels[prs[v]] = levels.get(prs[v], 0) | 1 << v
+    heads = below = 0
+    for q in sorted(levels):
+        below |= levels[q]
+        if q & 1 == parity:
+            for x in _bits(levels[q]):
+                if _closure(step, below, step[x] & below) >> x & 1:
+                    heads |= 1 << x
+    return heads
 
 
 def _require_inside(g: Subgame, s: PositionSet, what: str) -> None:

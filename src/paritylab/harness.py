@@ -36,7 +36,7 @@ from .analyzer import (
 )
 from .core import GameError, ParityGame, Subgame
 from .families import BadIndex, FamilyLabel, check_core_extension, gen_core, gen_scc
-from .solver import SolverConfig, solve
+from .solver import SolveStats, SolverConfig, solve
 
 __all__ = [
     "ParseError",
@@ -221,6 +221,12 @@ class BenchRecord:
     bound_3_2k1: int
 
 
+def _counters(stats: SolveStats) -> dict[str, int]:
+    # every counter of ``stats`` by name, in field order; ``wall_time`` is
+    # reported separately, in milliseconds
+    return {f.name: getattr(stats, f.name) for f in fields(stats) if f.name != "wall_time"}
+
+
 def run_bench(
     families: Sequence[str],
     ks: Iterable[int],
@@ -247,12 +253,7 @@ def run_bench(
                         n=game.n,
                         m=game.move_count,
                         variant=variant,
-                        total_calls=stats.total_calls,
-                        distinct_subgames=stats.distinct_subgames,
-                        memo_hits=stats.memo_hits,
-                        max_depth=stats.max_depth,
-                        dominion_probes=stats.dominion_probes,
-                        dominion_replays=stats.dominion_replays,
+                        **_counters(stats),
                         wall_time_ms=stats.wall_time * 1000.0,
                         won_by_0=not regions.w1,
                         bound_3_2k1=3 * (2 ** (k + 1) - 1),
@@ -357,12 +358,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "w0_size": len(regions.w0),
         "w1_size": len(regions.w1),
         "won_by_0": not regions.w1,
-        "total_calls": stats.total_calls,
-        "distinct_subgames": stats.distinct_subgames,
-        "memo_hits": stats.memo_hits,
-        "max_depth": stats.max_depth,
-        "dominion_probes": stats.dominion_probes,
-        "dominion_replays": stats.dominion_replays,
+        **_counters(stats),
         "wall_time_ms": round(stats.wall_time * 1000.0, 3),
     }
     for key, value in summary.items():

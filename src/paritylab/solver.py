@@ -8,15 +8,19 @@ more.  Three independently switchable layers wrap it:
 * memoization caches the winning partition of every alive set solved
   within one top-level call;
 * SCC decomposition splits the current subgame into strongly connected
-  components at every entry and solves terminal components first;
+  components at every entry and solves terminal components first; the
+  first component comes from two of core's ``_closure`` reachability
+  sweeps, with Tarjan only as a fallback;
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
-  anything else.  A search reads the alive set only at the successors
-  of the positions it visits, so one solve keeps, per seed, player and
-  size bound, the last search it ran and replays it (its result, plus
-  its probes on the counter) when the alive set has not changed there.
-  ``is_dominion`` certifies a given candidate: a closed trap for the
-  opponent that a plain solve of it gives to the player.
+  anything else.  Each completed candidate is certified by core's
+  cycle-parity rule, ``_cycle_heads``.  A search reads the alive set
+  only at the successors of the positions it visits, so one solve
+  keeps, per seed, player and size bound, the last search it ran and
+  replays it (its result, plus its probes on the counter) when the
+  alive set has not changed there.  ``is_dominion`` certifies a given
+  candidate: a trap for the opponent under core's one-step forcing rule
+  that a plain solve of it gives to the player.
 
 None of the layers ever changes the returned regions, only the shape and
 amount of work, which the returned ``SolveStats`` makes observable.
@@ -41,8 +45,10 @@ from .core import (
     Regions,
     Subgame,
     _attractor_mask,
-    _bits,
+    _closure,
+    _cycle_heads,
     _max_priority_mask,
+    _predecessor_mask,
     _require_inside,
     attractor,
     max_priority,
@@ -197,20 +203,6 @@ def _scc_masks(game: ParityGame, alive: int) -> list[int]:
     return comps
 
 
-def _closure(step_masks: tuple[int, ...], within: int, start: int) -> int:
-    # positions of ``within`` reachable from ``start`` along ``step_masks``
-    reach = front = start
-    while front:
-        nxt = 0
-        while front:
-            low = front & -front
-            nxt |= step_masks[low.bit_length() - 1]
-            front ^= low
-        front = nxt & within & ~reach
-        reach |= front
-    return reach
-
-
 def _first_scc(game: ParityGame, alive: int) -> int:
     # ``_scc_masks(game, alive)[0]``, mostly without running Tarjan.
     # Tarjan's first DFS tree starts at the lowest alive position r and
@@ -239,34 +231,11 @@ def scc_split(g: Subgame) -> list[PositionSet]:
 #
 # A candidate grows as a closure: positions of the searched player pick
 # one successor each (a branch point), opponent positions pull in all
-# their alive successors.  A completed closure is certified exactly, so
-# anything returned really is a dominion; the search is complete because
-# the closure following a winning strategy never trips a prune.
-
-
-def _certify(game: ParityGame, p: int, members: int, edge: dict[int, int]) -> bool:
-    # every cycle of the chosen-move graph must have max priority of parity p
-    prs = game.priorities
-    bad = {prs[v] for v in _bits(members) if prs[v] & 1 != p}
-    for q in bad:
-        sub = 0
-        for v in _bits(members):
-            if prs[v] <= q:
-                sub |= 1 << v
-        for x in _bits(sub):
-            if prs[x] != q:
-                continue
-            seen = 0
-            front = edge[x] & sub
-            while front:
-                if front >> x & 1:
-                    return False
-                seen |= front
-                nxt = 0
-                for v in _bits(front):
-                    nxt |= edge[v] & sub
-                front = nxt & ~seen
-    return True
+# their alive successors.  A completed closure is certified exactly by
+# core's cycle rule (no cycle of the chosen-move graph has a maximum of
+# the opponent's parity), so anything returned really is a dominion; the
+# search is complete because the closure following a winning strategy
+# never trips a prune.
 
 
 class _Search:
@@ -352,7 +321,7 @@ def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional
     if viable:
         unproc = members & ~processed
         if not unproc:
-            if _certify(game, p, members, edge):
+            if not _cycle_heads(prs, edge, members, 1 - p):
                 found = members
         else:
             low = unproc & -unproc
@@ -499,32 +468,20 @@ def find_dominion(
 def is_dominion(g: Subgame, d: PositionSet, p: Player | int) -> bool:
     """Whether ``d`` is a dominion for player ``p`` inside ``g``.
 
-    Three conditions: the opponent cannot leave ``d`` (every alive move of
-    an opponent position in ``d`` stays in ``d``), player ``p`` can stay
-    (every ``p`` position in ``d`` keeps a move into ``d``), and ``p``
-    wins the whole subgame induced by ``d``.
+    Two conditions: ``d`` is a trap for the opponent that ``p`` can stay
+    in, that is every position of ``d`` lies in ``p``'s one-step forcing
+    set of ``d`` (an opponent position has every alive move in ``d``, a
+    ``p`` position some), and ``p`` wins the whole subgame induced by
+    ``d``.
     """
     _require_inside(g, d, "candidate dominion")
     if not d:
         raise EmptyGame("a dominion must be non-empty")
     p = int(p)
     game = g.game
-    alive = g.alive.mask
     dm = d.mask
-    owners = game.owners
-    succ_masks = game.succ_masks
-    m = dm
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        sm = succ_masks[v] & alive
-        if owners[v] == p:
-            if not sm & dm:
-                return False
-        elif sm & ~dm:
-            return False
-        m ^= low
-
+    if dm & ~_predecessor_mask(game, g.alive.mask, dm, p):
+        return False
     regions, _ = solve(Subgame(game, d))
     return regions.of(p).mask == dm
 

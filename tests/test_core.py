@@ -21,7 +21,7 @@ from paritylab import (
     remove,
 )
 
-from paritylab.core import _attractor_mask, _predecessor_mask
+from paritylab.core import _attractor_mask, _cycle_heads, _predecessor_mask
 
 from conftest import mk
 
@@ -241,3 +241,40 @@ def test_attractor_is_the_least_fixpoint(game_seed, n, whole, cut, q, pick, p):
         alive &= ~_least_fixpoint(g, alive, cut & alive, q)
     seed = pick & alive
     assert _attractor_mask(g, alive, seed, p) == _least_fixpoint(g, alive, seed, p)
+
+
+def _heads_by_simple_cycles(prs, step, within, parity):
+    # the cycle rule by its definition: x is a head when some simple
+    # cycle through x, inside ``within``, has maximum priority prs[x] of
+    # the given parity
+    n = len(prs)
+    heads = 0
+    for x in range(n):
+        if not within >> x & 1 or prs[x] & 1 != parity:
+            continue
+        stack = [(x, 1 << x, prs[x])]  # (end of path, path, max on path)
+        while stack and not heads >> x & 1:
+            v, path, top = stack.pop()
+            for s in range(n):
+                if not (step[v] >> s & 1 and within >> s & 1):
+                    continue
+                if s == x:
+                    if top == prs[x]:
+                        heads |= 1 << x
+                elif not path >> s & 1:
+                    stack.append((s, path | 1 << s, max(top, prs[s])))
+    return heads
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_cycle_heads_match_simple_cycles(n, data):
+    prs = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    step = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    within = data.draw(st.integers(0, (1 << n) - 1))
+    for parity in (0, 1):
+        want = _heads_by_simple_cycles(prs, step, within, parity)
+        assert _cycle_heads(prs, step, within, parity) == want
+        # the certifier hands in one step mask per position of ``within``
+        only = {v: step[v] for v in range(n) if within >> v & 1}
+        assert _cycle_heads(prs, only, within, parity) == want

@@ -19,7 +19,9 @@ from paritylab import (
     gen_core,
     gen_random,
     gen_scc,
+    is_dominion,
     left_step,
+    oracle_solve,
     right_step,
     scc_split,
     solve,
@@ -264,3 +266,23 @@ def test_solver_is_deterministic():
     assert a[0] == b[0]
     assert a[1].total_calls == b[1].total_calls
     assert a[1].distinct_subgames == b[1].distinct_subgames
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([(0, 1), (1, 0), (0,), (1,)]),
+)
+def test_found_dominions_are_traps_the_oracle_agrees_on(n, seed, bound, players):
+    # the search's certifier against the trap check and the oracle
+    g = gen_random(n, seed)
+    sub = Subgame.whole(g)
+    found = find_dominion(sub, bound, players=players)
+    if found is None:
+        return
+    d, p = found
+    assert len(d) <= bound  # so within the oracle's 12 positions
+    assert is_dominion(sub, d, p)
+    assert oracle_solve(Subgame(g, d)).of(p) == d

@@ -220,7 +220,7 @@ def build_induced_tree(game: ParityGame, k: int, validate: bool = True) -> Induc
     return InducedTree(game, k, index, nodes, w0)
 
 
-def _role_mask(index: FamilyIndex, table: Dict[int, int], i: int) -> int:
+def _role_mask(table: Dict[int, int], i: int) -> int:
     v = table.get(i)
     return 0 if v is None else 1 << v
 
@@ -262,7 +262,7 @@ def verify_tree_invariants(t: InducedTree) -> Report:
         wrong = [
             j
             for j in range(2 * k + 1)
-            if bool(_role_mask(idx, idx.alpha, j) & alive) != (j <= top)
+            if bool(_role_mask(idx.alpha, j) & alive) != (j <= top)
         ]
         rep.add(
             node,
@@ -271,10 +271,10 @@ def verify_tree_invariants(t: InducedTree) -> Report:
             f"entries {wrong} break the window [0, {top}]" if wrong else None,
         )
 
-        need = [j for j in range(max(0, z + 1)) if not _role_mask(idx, idx.gamma, j) & alive]
+        need = [j for j in range(max(0, z + 1)) if not _role_mask(idx.gamma, j) & alive]
         if w.endswith("L"):
             extra = 0 if (label.kind == "hat" and len(w) == k + 1) else z + 1
-            if not _role_mask(idx, idx.gamma, extra) & alive:
+            if not _role_mask(idx.gamma, extra) & alive:
                 need.append(extra)
         rep.add(
             node,
@@ -286,7 +286,7 @@ def verify_tree_invariants(t: InducedTree) -> Report:
         if label.kind == "hat" and w.endswith("L"):
             want = 0
             for i in range(max(0, z + 2), 2 * k + 1, 2):
-                want |= (_role_mask(idx, idx.beta, i) | _role_mask(idx, idx.gamma, i)) & alive
+                want |= (_role_mask(idx.beta, i) | _role_mask(idx.gamma, i)) & alive
             got = t.w0_of(label).mask & idx.core_mask
             diff = PositionSet(game, got ^ want)
             rep.add(
@@ -405,8 +405,8 @@ def verify_single_scc(t: InducedTree) -> Report:
         alive = sub.alive.mask
         mismatch = None
         for (i, j, p), d in idx.delta.items():
-            both = bool(_role_mask(idx, idx.gamma, i) & alive) and bool(
-                _role_mask(idx, idx.gamma, j) & alive
+            both = bool(_role_mask(idx.gamma, i) & alive) and bool(
+                _role_mask(idx.gamma, j) & alive
             )
             if bool(alive >> d & 1) != both:
                 mismatch = f"d{i}_{j}_{p} {'dead' if both else 'alive'} but hubs g{i},g{j} say otherwise"

@@ -14,13 +14,12 @@ more.  Three independently switchable layers wrap it:
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
   anything else.  Each completed candidate is certified by core's
-  cycle-parity rule, ``_cycle_heads``.  A search reads the alive set
-  only at the successors of the positions it visits, so one solve
-  keeps, per seed, player and size bound, the last search it ran and
-  replays it (its result, plus its probes on the counter) when the
-  alive set has not changed there.  ``is_dominion`` certifies a given
-  candidate: a trap for the opponent under core's one-step forcing rule
-  that a plain solve of it gives to the player.
+  cycle-parity rule, ``_cycle_heads``.  One solve keeps, per seed,
+  player and size bound, the last search it ran and replays it (its
+  result, plus its probes on the counter) when the alive set has not
+  changed on that search's ``touched`` mask.  ``is_dominion`` certifies
+  a given candidate: a trap for the opponent under core's one-step
+  forcing rule that a plain solve of it gives to the player.
 
 None of the layers ever changes the returned regions, only the shape and
 amount of work, which the returned ``SolveStats`` makes observable.
@@ -236,6 +235,14 @@ def scc_split(g: Subgame) -> list[PositionSet]:
 # the opponent's parity), so anything returned really is a dominion; the
 # search is complete because the closure following a winning strategy
 # never trips a prune.
+#
+# Invariant at every ``_grow`` entry: ``committed`` holds the members
+# plus the alive successors of every opponent member, the search's
+# ``touched`` (with what the probes below on the stack add on return)
+# already holds those successors' masks, and ``committed`` has no
+# forbidden position (below the seed) and fits the budget.  So forcing
+# an opponent member adds nothing to ``committed`` or ``touched`` but
+# the successors of the opponent members it pulls in.
 
 
 class _Search:
@@ -297,10 +304,8 @@ def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional
             break
         low = forced & -forced
         u = low.bit_length() - 1
-        sm = succ_masks[u]
-        touched |= sm
-        t = sm & alive
-        if t & forbidden or _bad_edge(prs, p, edge, u, t):
+        t = succ_masks[u] & alive
+        if _bad_edge(prs, p, edge, u, t):
             viable = False
             break
         fresh = t & ~members
@@ -308,7 +313,6 @@ def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional
         processed |= low
         edge[u] = t
         mine.append(u)
-        committed |= t
         nb = fresh & opp_mask
         while nb:
             l2 = nb & -nb
@@ -328,19 +332,10 @@ def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional
             u = low.bit_length() - 1
             touched |= succ_masks[u]
             nproc = processed | low
-            pu = prs[u]
-            u_loop_ok = pu & 1 == p
             for s in game.successors[u]:
                 t = 1 << s
-                if not alive & t or t & forbidden:
+                if not alive & t or t & forbidden or _bad_edge(prs, p, edge, u, t):
                     continue
-                if s == u:
-                    if not u_loop_ok:
-                        continue
-                elif edge.get(s, 0) >> u & 1:
-                    m = pu if pu >= prs[s] else prs[s]
-                    if m & 1 != p:
-                        continue
                 ncom = committed | t
                 if t & ~members and t & opp_mask:
                     sm = succ_masks[s]
@@ -374,9 +369,7 @@ def _search(
     candidate space, so enumerating seeds in ascending order never
     revisits a candidate.  The search is depth-first in successor-list
     order, branching only at positions of player ``p``; opponent
-    positions pull in all their alive successors at once.  ``committed``
-    tracks members plus everything opponent members will force in later,
-    which cuts oversized branches before they unfold.
+    positions pull in all their alive successors at once.
 
     ``touched`` is the seed bit plus the successor masks of every
     position whose alive successors the search read.  Every bit of
@@ -416,10 +409,10 @@ def _find_dominion_mask(
     record: dict[int, tuple[int, int, Optional[int], int]],
 ) -> Optional[tuple[int, int]]:
     # ``record`` maps (seed, p, budget), packed into one int, to the last
-    # search run for it: (touched, alive & touched, result, probes).
-    # When this scan's alive set agrees with that one on ``touched``, the
-    # search would repeat step for step, so its result is reused and its
-    # probes are added.  A fresh ``{}`` makes every search run.
+    # search run for it: (touched, alive & touched, result, probes).  An
+    # entry whose alive bits still agree on ``touched`` is replayed: its
+    # result is reused and its probes are added.  A fresh ``{}`` makes
+    # every search run.
     base = max_size * game.n
     m = alive
     while m:
@@ -557,7 +550,6 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
         return (wp, alive & ~wp) if p == 0 else (alive & ~wp, wp)
 
     frames: list[Generator[int, tuple[int, int], tuple[int, int]]] = []
-    masks: list[int] = []  # alive mask of each frame
     child = g.alive.mask
     t0 = perf_counter()
     try:
@@ -573,7 +565,6 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 stats.memo_hits += 1
             elif child:
                 frames.append(call(child))
-                masks.append(child)
             else:
                 result = (0, 0)
                 if memo:
@@ -587,9 +578,9 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 except StopIteration as done:
                     frames.pop()
                     result = done.value
-                    done_mask = masks.pop()
                     if memo:
-                        seen[done_mask] = result
+                        # a call's regions partition its alive set
+                        seen[result[0] | result[1]] = result
             else:
                 break
     finally:

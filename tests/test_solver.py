@@ -1,5 +1,6 @@
 """Recursive solver, its enhancement layers and the bounded dominion search."""
 
+import itertools
 import sys
 
 import pytest
@@ -235,6 +236,37 @@ def test_dominion_replay_matches_a_fresh_scan(n, seed, fixed, data):
             alive &= ~(1 << v)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 10_000), st.integers(0, 1), st.integers(1, 6), st.data())
+def test_search_is_fixed_by_alive_on_touched(n, game_seed, p, budget, data):
+    # the replay rests on this: alive bits outside ``touched`` change
+    # neither the result nor the probe count; the alive set need not be
+    # left-total
+    g = gen_random(n, game_seed)
+    alive = data.draw(st.integers(1, g.full_mask))
+    seed = data.draw(st.sampled_from([v for v in range(n) if alive >> v & 1]))
+    first = SolveStats()
+    found, touched = solver._search(g, alive, seed, p, budget, first)
+    flip = data.draw(st.integers(0, g.full_mask)) & ~touched
+    again = SolveStats()
+    assert solver._search(g, alive ^ flip, seed, p, budget, again)[0] == found
+    assert again.dominion_probes == first.dominion_probes
+
+
+def test_dominion_replays_on_the_families():
+    # replays drop silently, answers intact, if ``touched`` grows too wide
+    want = {
+        gen_core: [5, 26, 34, 34, 80, 80, 150, 150],
+        gen_scc: [4, 68, 242, 563, 3847, 36098],
+    }
+    for gen, replays in want.items():
+        got = [
+            solve(Subgame.whole(gen(k)), VARIANTS["memo+scc+dom"])[1].dominion_replays
+            for k in range(1, len(replays) + 1)
+        ]
+        assert got == replays
+
+
 def test_dominion_record_is_per_solve():
     sub = Subgame.whole(gen_scc(3))
     first, second = (solve(sub, VARIANTS["memo+scc+dom"])[1] for _ in range(2))
@@ -249,9 +281,11 @@ def test_dominion_record_is_per_solve():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 7))
 def test_variants_agree_on_random_games(seed, n):
+    # every mix of the three layers, not only the named variants
     sub = Subgame.whole(gen_random(n, seed))
     baseline, _ = solve(sub)
-    for cfg in VARIANTS.values():
+    for memo, scc, dom in itertools.product((False, True), repeat=3):
+        cfg = SolverConfig(memoization=memo, scc_decomposition=scc, dominion_decomposition=dom)
         regions, _ = solve(sub, cfg)
         assert regions.of(0).isdisjoint(regions.of(1))
         assert (regions.of(0) | regions.of(1)) == sub.alive

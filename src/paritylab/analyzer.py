@@ -117,10 +117,9 @@ class InducedTree:
     """The subgames a recursive descent pins down for one family game.
 
     ``nodes`` maps each :class:`TreeLabel` to its :class:`Subgame`.
-    Winning regions computed during construction (one per hat node whose
-    word ends in ``L``) are cached for the checks, which would otherwise
-    recompute them; ``w0_of`` falls back to a fresh plain solve for any
-    other node.
+    ``w0_of`` gives the winning region of player 0 that construction
+    computed for each hat node whose word ends in ``L``, the only nodes
+    the checks ask about; it raises ``KeyError`` for any other node.
     """
 
     __slots__ = ("game", "k", "index", "nodes", "_w0")
@@ -149,13 +148,8 @@ class InducedTree:
         return self.nodes[label]
 
     def w0_of(self, label: TreeLabel) -> PositionSet:
-        """Winning region of player 0 in the node, via the plain solver."""
-        cached = self._w0.get(label)
-        if cached is None:
-            regions, _ = solve(self.nodes[label], SolverConfig())
-            cached = regions.w0
-            self._w0[label] = cached
-        return cached
+        """Winning region of player 0 in a hat node whose word ends in ``L``."""
+        return self._w0[label]
 
     def __repr__(self) -> str:
         return f"InducedTree(k={self.k}, nodes={len(self.nodes)})"

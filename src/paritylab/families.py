@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,9 +168,7 @@ def gen_scc(k: int) -> ParityGame:
     priorities = list(core.priorities)
     successors = [list(row) for row in core.successors]
     labels = list(core.labels or ())
-
-    def g(i: int) -> int:
-        return 3 * i + 2
+    hub = {lab.i: v for v, lab in enumerate(labels) if lab.role == "gamma"}
 
     n = len(owners)
     for i in range(2 * k + 1):
@@ -180,7 +179,7 @@ def gen_scc(k: int) -> ParityGame:
                 idx_of[p] = n
                 owners.append(p)
                 priorities.append(0)
-                hubs = [g(l) for l in (i, j) if l % 2 == p]
+                hubs = [hub[l] for l in (i, j) if l % 2 == p]
                 successors.append(hubs)
                 for h in hubs:
                     successors[h].append(n)
@@ -214,7 +213,7 @@ def gen_random(n: int, seed: int) -> ParityGame:
 class FamilyIndex:
     """Label-to-index lookup for a game whose positions carry labels."""
 
-    __slots__ = ("game", "k", "alpha", "beta", "gamma", "delta", "core_mask", "extension_mask")
+    __slots__ = ("k", "alpha", "beta", "gamma", "delta", "core_mask", "extension_mask")
 
     def __init__(self, game: ParityGame) -> None:
         if game.labels is None:
@@ -243,7 +242,6 @@ class FamilyIndex:
                 extension_mask |= 1 << v
         if not alpha:
             raise BadIndex("game has no entry labels")
-        object.__setattr__(self, "game", game)
         object.__setattr__(self, "k", max(alpha) // 2)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -273,49 +271,28 @@ def check_core_extension(game: ParityGame, k: int) -> Report:
     if k < 1:
         raise BadIndex(f"k must be >= 1, got {k}")
     rep = Report()
-    if game.labels is None:
-        rep.add("game", "core-intact", False, "game carries no labels")
-        return rep
-
-    try:
-        idx = FamilyIndex(game)
-    except BadIndex as exc:
-        rep.add("game", "core-intact", False, str(exc))
-        return rep
-
-    levels = range(2 * k + 1)
-    missing = [
-        str(lab)
-        for i in levels
-        for lab in (FamilyLabel.alpha(i), FamilyLabel.beta(i), FamilyLabel.gamma(i))
-        if (lab.role == "alpha" and i not in idx.alpha)
-        or (lab.role == "beta" and i not in idx.beta)
-        or (lab.role == "gamma" and i not in idx.gamma)
-    ]
-    stray = sorted(
-        {i for d in (idx.alpha, idx.beta, idx.gamma) for i in d if i > 2 * k}
-    )
-    wrong_count = idx.core_mask.bit_count() != 6 * k + 3
-    if missing or stray or wrong_count:
-        witness = (
-            f"missing core labels {missing[:5]}"
-            if missing
-            else f"core levels beyond 2k: {stray}"
-            if stray
-            else f"{idx.core_mask.bit_count()} core-labelled positions, expected {6 * k + 3}"
-        )
-        rep.add("game", "core-intact", False, witness)
-        return rep
-
     ref = gen_core(k)
+    # one scan finds the core: every position with an alpha, beta or gamma label
+    core: dict[int, FamilyLabel] = {}
+    core_mask = ab_mask = 0  # ab_mask: the entries and relays
+    hubs: list[tuple[int, int]] = []  # (position, level)
+    for v, lab in enumerate(game.labels or ()):
+        if isinstance(lab, FamilyLabel) and lab.role != "delta":
+            core[v] = lab
+            core_mask |= 1 << v
+            if lab.role == "gamma":
+                hubs.append((v, lab.i))
+            else:
+                ab_mask |= 1 << v
+    if Counter(core.values()) != Counter(ref.labels):
+        rep.add("game", "core-intact", False, f"core labels differ from gen_core({k})'s")
+        return rep
+
     ref_index = {lab: r for r, lab in enumerate(ref.labels)}
     witness = None
-    for v in range(game.n):
-        if not idx.core_mask >> v & 1:
-            continue
-        lab = game.labels[v]
+    for v, lab in core.items():
         r = ref_index[lab]
-        got = {game.labels[s] for s in game.successors[v] if idx.core_mask >> s & 1}
+        got = {game.labels[s] for s in game.successors[v] if core_mask >> s & 1}
         if game.owners[v] != ref.owners[r] or game.priorities[v] != ref.priorities[r]:
             witness = f"{lab}: owner/priority differ from gen_core({k})"
         elif got != {ref.labels[s] for s in ref.successors[r]}:
@@ -324,7 +301,7 @@ def check_core_extension(game: ParityGame, k: int) -> Report:
             break
     rep.add("game", "core-intact", witness is None, witness)
 
-    ext_mask = game.full_mask & ~idx.core_mask
+    ext_mask = game.full_mask & ~core_mask
 
     floor = 2 * k + 1
     bad = [v for v in range(game.n) if (1 << v) & ext_mask and game.priorities[v] >= floor]
@@ -335,12 +312,6 @@ def check_core_extension(game: ParityGame, k: int) -> Report:
         f"position {bad[0]} has priority {game.priorities[bad[0]]}" if bad else None,
     )
 
-    ab_mask = 0
-    for i in levels:
-        if i in idx.alpha:
-            ab_mask |= 1 << idx.alpha[i]
-        if i in idx.beta:
-            ab_mask |= 1 << idx.beta[i]
     offenders = []
     for v in range(game.n):
         bit = 1 << v
@@ -355,25 +326,20 @@ def check_core_extension(game: ParityGame, k: int) -> Report:
         f"position {offenders[0]} crosses between extension and entry/relay" if offenders else None,
     )
 
-    guard_ok = True
     guard_witness = None
-    for i in levels:
-        gi = idx.gamma.get(i)
-        if gi is None:
-            continue
+    for gi, i in hubs:
         for q in game.successors[gi]:
             if not (1 << q) & ext_mask:
                 continue
             if game.owners[q] != i % 2:
-                guard_ok, guard_witness = False, f"successor {q} of g{i} has the wrong owner"
+                guard_witness = f"successor {q} of g{i} has the wrong owner"
+            elif not game.succ_masks[q] >> gi & 1:
+                guard_witness = f"successor {q} of g{i} has no move back"
+            elif game.priorities[q] > i:
+                guard_witness = f"successor {q} of g{i} has priority above {i}"
+            if guard_witness is not None:
                 break
-            if not game.succ_masks[q] >> gi & 1:
-                guard_ok, guard_witness = False, f"successor {q} of g{i} has no move back"
-                break
-            if game.priorities[q] > i:
-                guard_ok, guard_witness = False, f"successor {q} of g{i} has priority above {i}"
-                break
-        if not guard_ok:
+        if guard_witness is not None:
             break
-    rep.add("game", "hub-neighbour-guard", guard_ok, guard_witness)
+    rep.add("game", "hub-neighbour-guard", guard_witness is None, guard_witness)
     return rep

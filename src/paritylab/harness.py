@@ -178,12 +178,18 @@ def parse_pgsolver(text: str) -> ParityGame:
 
 
 def write_pgsolver(g: ParityGame) -> str:
-    """Render a game in PGSolver text form (header plus one line each)."""
+    """Render a game in PGSolver text form (header plus one line each).
+
+    Raises ``ValueError`` for a label whose text holds ``;`` or ``"``,
+    which the format cannot quote and ``parse_pgsolver`` would reject.
+    """
     ids = g.source_ids if g.source_ids is not None else tuple(range(g.n))
     out = [f"parity {max(ids)};"]
     for v in range(g.n):
         succ = ",".join(str(ids[s]) for s in g.successors[v])
         label = g.label_of(v)
+        if label is not None and (";" in str(label) or '"' in str(label)):
+            raise ValueError(f"label {str(label)!r} of position {ids[v]} holds ';' or '\"'")
         tail = f' "{label}";' if label is not None else ";"
         out.append(f"{ids[v]} {g.priorities[v]} {g.owners[v]} {succ}{tail}")
     return "\n".join(out) + "\n"

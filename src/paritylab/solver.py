@@ -265,10 +265,12 @@ class _Search:
         self.touched = 1 << seed
 
 
-def _bad_edge(prs: tuple[int, ...], p: int, edge: dict[int, int], u: int, targets: int) -> bool:
-    # a cycle already present in the partial graph can never go away
-    if targets >> u & 1 and prs[u] & 1 != p:
-        return True
+def _bad_targets(prs: tuple[int, ...], p: int, edge: dict[int, int], u: int, targets: int) -> int:
+    # the targets whose edge from ``u`` closes a cycle of the opponent's
+    # parity in the partial graph, a self-loop on ``u`` or a 2-cycle with
+    # a chosen edge; such a cycle can never go away.  ``edge`` holds no
+    # entry for ``u`` yet.
+    bad = targets & 1 << u if prs[u] & 1 != p else 0
     t = targets
     while t:
         low = t & -t
@@ -276,9 +278,9 @@ def _bad_edge(prs: tuple[int, ...], p: int, edge: dict[int, int], u: int, target
         if edge.get(s, 0) >> u & 1:
             m = prs[u] if prs[u] >= prs[s] else prs[s]
             if m & 1 != p:
-                return True
+                bad |= low
         t ^= low
-    return False
+    return bad
 
 
 def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional[int]:
@@ -305,7 +307,7 @@ def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional
         low = forced & -forced
         u = low.bit_length() - 1
         t = succ_masks[u] & alive
-        if _bad_edge(prs, p, edge, u, t):
+        if _bad_targets(prs, p, edge, u, t):
             viable = False
             break
         fresh = t & ~members
@@ -332,9 +334,13 @@ def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional
             u = low.bit_length() - 1
             touched |= succ_masks[u]
             nproc = processed | low
+            # ``edge`` is restored after every probe below, so one prune
+            # call serves the whole loop
+            ok = succ_masks[u] & alive & ~forbidden
+            ok &= ~_bad_targets(prs, p, edge, u, ok)
             for s in game.successors[u]:
                 t = 1 << s
-                if not alive & t or t & forbidden or _bad_edge(prs, p, edge, u, t):
+                if not ok & t:
                     continue
                 ncom = committed | t
                 if t & ~members and t & opp_mask:

@@ -201,6 +201,32 @@ def test_check_core_extension_flags_core_tampering(core1):
         assert "core-intact" in {i.item for i in report.failures}, name
 
 
+def test_check_core_extension_stops_at_a_wrong_label_set(core1):
+    # when the core labels are not gen_core(k)'s, the report is one
+    # failed core-intact item and nothing else
+    g = core1
+    labs = g.labels
+    cases = {
+        "unlabelled": ParityGame(g.owners, g.priorities, g.successors),
+        "label-dropped": _rebuild(g, labels=_edit(labs, {4: None})),
+        "level-beyond-2k": _rebuild(g, labels=_edit(labs, {8: FamilyLabel.gamma(3)})),
+        "k-too-small": gen_core(2),
+    }
+    for name, game in cases.items():
+        report = check_core_extension(game, 1)
+        assert [(i.item, i.passed) for i in report.items] == [("core-intact", False)], name
+
+
+def test_check_core_extension_item_names():
+    report = check_core_extension(gen_scc(2), 2)
+    assert [i.item for i in report.items] == [
+        "core-intact",
+        "extension-priorities-low",
+        "no-entry-relay-moves",
+        "hub-neighbour-guard",
+    ]
+
+
 def test_check_core_extension_ignores_connector_labels():
     # the core is checked under its labels; connector labels play no part
     g = gen_scc(2)

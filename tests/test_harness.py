@@ -13,6 +13,7 @@ from paritylab import (
     BenchRecord,
     FamilyLabel,
     NotLeftTotal,
+    ParityGame,
     ParseError,
     gen_core,
     gen_scc,
@@ -146,6 +147,21 @@ def test_round_trip_without_labels():
     text = write_pgsolver(g)
     assert '"' not in text
     assert parse_pgsolver(text).labels is None
+
+
+@pytest.mark.parametrize("name", ["a b", "a\tb", "a\nb"], ids=["space", "tab", "newline"])
+def test_round_trip_keeps_whitespace_in_labels(name):
+    g = ParityGame([0, 1], [0, 1], [[1], [0]], labels=[name, None])
+    text = write_pgsolver(g)
+    assert parse_pgsolver(text).labels == (name, None)
+
+
+@pytest.mark.parametrize("name", ["a;b", 'a"b'], ids=["semicolon", "quote"])
+def test_write_refuses_labels_it_cannot_quote(name):
+    # the reader ends a statement at ';' and a name at '"'
+    g = ParityGame([0, 1], [0, 1], [[1], [0]], labels=[None, name])
+    with pytest.raises(ValueError, match="position 1"):
+        write_pgsolver(g)
 
 
 def _strip_wall_time(csv_text):

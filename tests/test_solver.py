@@ -253,6 +253,22 @@ def test_search_is_fixed_by_alive_on_touched(n, game_seed, p, budget, data):
     assert again.dominion_probes == first.dominion_probes
 
 
+def test_search_finds_every_small_dominion():
+    # completeness: the prunes never cut off a winning strategy, so for
+    # every dominion D the search seeded at min(D) succeeds within |D|
+    for seed in range(600):
+        g = gen_random(seed % 9 + 1, seed)
+        whole = Subgame.whole(g)
+        for dm in range(1, g.full_mask + 1):
+            for p in (0, 1):
+                if not is_dominion(whole, PositionSet(g, dm), p):
+                    continue
+                low = (dm & -dm).bit_length() - 1
+                for budget in (dm.bit_count(), dm.bit_count() + 1):
+                    found = solver._search(g, g.full_mask, low, p, budget, SolveStats())[0]
+                    assert found is not None, (seed, dm, p, budget)
+
+
 def test_dominion_replays_on_the_families():
     # replays drop silently, answers intact, if ``touched`` grows too wide
     want = {

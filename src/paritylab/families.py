@@ -36,7 +36,8 @@ class BadIndex(GameError):
     """Raised when a family parameter is outside its domain."""
 
 
-_LABEL_RE = re.compile(r"([abg])([0-9]+)|d([0-9]+)_([0-9]+)_([01])")
+_NUM = r"(0|[1-9][0-9]*)"  # canonical decimals only, so a parsed label writes back as its text
+_LABEL_RE = re.compile(rf"([abg]){_NUM}|d{_NUM}_{_NUM}_([01])")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -441,9 +440,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_csv(records, args.csv)
         print(f"wrote {len(records)} rows to {args.csv}")
     else:
-        buf = io.StringIO()
-        write_csv(records, buf)
-        sys.stdout.write(buf.getvalue())
+        write_csv(records, sys.stdout)
     return 0
 
 
@@ -463,7 +460,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, BadIndex) as exc:
+    except (ParseError, BadIndex, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

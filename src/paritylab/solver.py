@@ -10,7 +10,7 @@ more.  Three independently switchable layers wrap it:
 * SCC decomposition splits the current subgame into strongly connected
   components at every entry and solves terminal components first; the
   first component comes from two of core's ``_closure`` reachability
-  sweeps, with Tarjan only as a fallback;
+  sweeps, with a lowlink-free depth-first search only as a fallback;
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
   anything else.  Each completed candidate is certified by core's
@@ -128,85 +128,54 @@ def right_step(g: Subgame, w_opp: PositionSet, opp: Player | int) -> Subgame:
 
 
 # ---------------------------------------------------------------------------
-# strongly connected components (iterative Tarjan on masks)
+# strongly connected components (depth-first search without lowlinks)
 
 
 def _scc_masks(game: ParityGame, alive: int) -> list[int]:
-    # Iterative Tarjan on masks.  Emission order is reverse topological:
-    # every component only reaches components emitted before it, so the
-    # first one is terminal.
+    # Depth-first search from the lowest alive position, successors in
+    # ascending order.  When v finishes, S = seen & alive & ~before is what
+    # the search found since entering v, minus the components emitted.  If
+    # v is the first position of its component C, Tarjan's stack above v is
+    # C, so S = C, and every move out of C goes to an emitted component, no
+    # longer alive.  If not, C holds an open ancestor of v outside S that v
+    # reaches inside C, so some move leaves S.  So "no move leaves S" is
+    # Tarjan's low[v] == index[v], and components come out in Tarjan's
+    # order: reverse topological, the first one terminal.
     succ_masks = game.succ_masks
-    n = game.n
-    index = [0] * n
-    low = [0] * n
-    on = bytearray(n)
-    stack: list[int] = []
     comps: list[int] = []
-    counter = 1
-    wv: list[int] = []  # DFS node stack
-    wm: list[int] = []  # unexplored-successor masks, parallel to wv
-    roots = alive
-    while roots:
-        rl = roots & -roots
-        roots ^= rl
-        root = rl.bit_length() - 1
-        if index[root]:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on[root] = 1
-        wv.append(root)
-        wm.append(succ_masks[root] & alive)
-        while wv:
-            v = wv[-1]
-            m = wm[-1]
-            lv = low[v]
-            descended = False
-            while m:
-                sl = m & -m
-                m ^= sl
-                s = sl.bit_length() - 1
-                si = index[s]
-                if not si:
-                    wm[-1] = m
-                    low[v] = lv
-                    index[s] = low[s] = counter
-                    counter += 1
-                    stack.append(s)
-                    on[s] = 1
-                    wv.append(s)
-                    wm.append(succ_masks[s] & alive)
-                    descended = True
-                    break
-                if si < lv and on[s]:
-                    lv = si
-            if descended:
+    seen = 0
+    path: list[tuple[int, int, int]] = []  # (before, moves, unexplored successors) of each ancestor
+    while alive:
+        v = alive & -alive
+        before = seen
+        seen |= v
+        moves = succs = succ_masks[v.bit_length() - 1] & alive
+        while True:
+            succs &= ~seen
+            if succs:
+                s = succs & -succs
+                path.append((before, moves, succs ^ s))
+                before = seen
+                seen |= s
+                moves = succs = succ_masks[s.bit_length() - 1] & alive
                 continue
-            low[v] = lv
-            wv.pop()
-            wm.pop()
-            if wv:
-                u = wv[-1]
-                if lv < low[u]:
-                    low[u] = lv
-            if lv == index[v]:
-                mcomp = 0
-                while True:
-                    w = stack.pop()
-                    on[w] = 0
-                    mcomp |= 1 << w
-                    if w == v:
-                        break
-                comps.append(mcomp)
+            comp = seen & alive & ~before
+            out = moves & alive & ~comp
+            if not out:
+                comps.append(comp)
+                alive ^= comp
+            if not path:
+                break
+            before, moves, succs = path.pop()
+            moves |= out
     return comps
 
 
 def _first_scc(game: ParityGame, alive: int) -> int:
-    # ``_scc_masks(game, alive)[0]``, mostly without running Tarjan.
-    # Tarjan's first DFS tree starts at the lowest alive position r and
+    # ``_scc_masks(game, alive)[0]``, mostly without decomposing.  The
+    # search's first tree starts at the lowest alive position r and
     # covers exactly its forward closure F, so the first component
-    # emitted lies in F and is found by Tarjan on F alone (F is closed
+    # emitted lies in F and is found by decomposing F alone (F is closed
     # under alive moves).  When every position of F reaches r, F is that
     # component.
     r = alive & -alive

@@ -114,8 +114,11 @@ def test_parse_fails_only_with_parse_error(text):
         "a" + "1" * 5000,  # past int()'s 4,300-digit limit
         "a\u0663",  # ARABIC-INDIC DIGIT THREE is not an ASCII digit
         "a3\n",  # a trailing newline is part of the name
+        "a01",  # leading zeros would be written back as "a1"
+        "g00",
+        "d0_01_1",
     ],
-    ids=["huge-index", "non-ascii-digit", "trailing-newline"],
+    ids=["huge-index", "non-ascii-digit", "trailing-newline", "leading-zero", "double-zero", "delta-leading-zero"],
 )
 def test_parse_keeps_near_miss_role_names_as_strings(name):
     text = f'parity 0;\n0 1 0 0 "{name}";\n'
@@ -248,6 +251,13 @@ def test_cli_solve_round_trip(tmp_path, capsys):
 
 def test_cli_solve_missing_file(capsys):
     assert main(["solve", "--in", "/nonexistent/x.pg"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solve_rejects_non_utf8_input(tmp_path, capsys):
+    bad = tmp_path / "bad.pg"
+    bad.write_bytes(b"\xff\xfeparity 0;\n")
+    assert main(["solve", "--in", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

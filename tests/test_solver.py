@@ -191,24 +191,66 @@ def test_deep_chain_leaves_recursion_limit_alone(variant):
     assert sys.getrecursionlimit() == limit
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 40), st.integers(0, 10_000), st.data())
-def test_first_scc_matches_tarjan(n, seed, data):
-    # any non-empty alive set, not only attractor complements: the
-    # subgame need not be left-total
-    g = gen_random(n, seed)
-    alive = data.draw(st.integers(1, g.full_mask))
-    assert solver._first_scc(g, alive) == solver._scc_masks(g, alive)[0]
+def _tarjan(game, alive):
+    # textbook recursive Tarjan (SIAM J. Comput. 1972), successors in
+    # ascending order: the components of the alive part as masks, in
+    # emission order
+    index, low, stack, comps = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for s in sorted(game.successors[v]):
+            if alive >> s & 1:
+                if s not in index:
+                    visit(s)
+                    low[v] = min(low[v], low[s])
+                elif s in stack:
+                    low[v] = min(low[v], index[s])
+        if low[v] == index[v]:
+            comp = 0
+            while not comp >> v & 1:
+                comp |= 1 << stack.pop()
+            comps.append(comp)
+
+    for v in range(game.n):
+        if alive >> v & 1 and v not in index:
+            visit(v)
+    return comps
 
 
-def test_scc_layer_runs_no_tarjan_on_a_chain(monkeypatch):
+@st.composite
+def _scc_cases(draw):
+    # a game and any non-empty alive set, not only attractor complements:
+    # the subgame need not be left-total.  Half the games are gen_random's
+    # (out-degree at most 3), half have drawn successor sets, dense ones
+    # included
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        g = gen_random(n, draw(st.integers(0, 10_000)))
+    else:
+        succ = [draw(st.integers(1, (1 << n) - 1)) for _ in range(n)]
+        g = mk([0] * n, [0] * n, [[s for s in range(n) if m >> s & 1] for m in succ])
+    return g, draw(st.integers(1, g.full_mask))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scc_cases())
+def test_first_scc_matches_tarjan(case):
+    g, alive = case
+    comps = _tarjan(g, alive)
+    assert solver._scc_masks(g, alive) == comps
+    assert solver._first_scc(g, alive) == comps[0]
+
+
+def test_scc_layer_decomposes_nothing_on_a_chain(monkeypatch):
     # each lowest alive position is a one-position terminal component,
-    # which the closure check finds without Tarjan
+    # which the closure check finds without decomposing
     n = 300
     g = _chain(n)
     runs = []
-    tarjan = solver._scc_masks
-    monkeypatch.setattr(solver, "_scc_masks", lambda game, alive: runs.append(alive) or tarjan(game, alive))
+    decompose = solver._scc_masks
+    monkeypatch.setattr(solver, "_scc_masks", lambda game, alive: runs.append(alive) or decompose(game, alive))
     regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
     assert runs == []
     assert regions.of(0).indices() == tuple(range(0, n, 2))

@@ -65,8 +65,10 @@ class ParityGame:
 
     Construction precomputes per-position successor and predecessor masks
     (``succ_masks``, ``pred_masks``) and a priority-descending index used
-    by ``max_priority``, so the solver can run on raw masks without
-    touching Python-level sets.
+    by ``max_priority``: ``priority_levels`` holds one ``(priority,
+    holders mask)`` pair per distinct priority, highest first, and
+    ``level_of[v]`` is the index of ``v``'s own priority in it.  So the
+    solver can run on raw masks without touching Python-level sets.
 
     Successor lists keep their given order (deduplicated); that order is
     part of the deterministic behaviour of everything built on top.
@@ -80,6 +82,7 @@ class ParityGame:
         "succ_masks",
         "pred_masks",
         "priority_levels",
+        "level_of",
         "owner_masks",
         "labels",
         "source_ids",
@@ -134,6 +137,8 @@ class ParityGame:
         by_pr: dict[int, int] = {}
         for v, p in enumerate(priorities_t):
             by_pr[p] = by_pr.get(p, 0) | (1 << v)
+        levels = tuple(sorted(by_pr.items(), reverse=True))
+        rank = {pr: i for i, (pr, _) in enumerate(levels)}
 
         owner_masks = [0, 0]
         for v, o in enumerate(owners_t):
@@ -145,9 +150,8 @@ class ParityGame:
         object.__setattr__(self, "successors", tuple(succ_t))
         object.__setattr__(self, "succ_masks", tuple(masks))
         object.__setattr__(self, "pred_masks", tuple(pred_masks))
-        object.__setattr__(
-            self, "priority_levels", tuple(sorted(by_pr.items(), reverse=True))
-        )
+        object.__setattr__(self, "priority_levels", levels)
+        object.__setattr__(self, "level_of", tuple(map(rank.__getitem__, priorities_t)))
         object.__setattr__(self, "owner_masks", (owner_masks[0], owner_masks[1]))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(
@@ -351,14 +355,25 @@ def _left_total_violation(game: ParityGame, alive: int) -> Optional[int]:
     return None
 
 
-def _max_priority_mask(game: ParityGame, alive: int) -> tuple[int, int]:
+def _max_priority_mask(game: ParityGame, alive: int, lo: int = 0) -> tuple[int, int, int]:
+    # the highest alive priority, its alive holders and its index in
+    # ``priority_levels``.  The caller promises that no level before
+    # ``lo`` meets ``alive`` (the solver's cursor only moves down).  The
+    # scan from ``lo`` stops after as many levels as ``alive`` has
+    # positions; then the positions give the level themselves, so one
+    # call reads at most about twice that many items
     if not alive:
         raise EmptyGame("empty subgame has no maximal priority")
-    for pr, mask in game.priority_levels:
+    levels = game.priority_levels
+    for i in range(lo, min(lo + alive.bit_count(), len(levels))):
+        pr, mask = levels[i]
         hit = mask & alive
         if hit:
-            return pr, hit
-    raise AssertionError("unreachable")  # pragma: no cover
+            return pr, hit, i
+    level_of = game.level_of
+    i = min(level_of[v] for v in _bits(alive))
+    pr, mask = levels[i]
+    return pr, mask & alive, i
 
 
 def _predecessor_mask(game: ParityGame, alive: int, target: int, p: int) -> int:
@@ -380,14 +395,21 @@ def _predecessor_mask(game: ParityGame, alive: int, target: int, p: int) -> int:
     return res
 
 
-def _attractor_mask(game: ParityGame, alive: int, seed: int, p: int) -> int:
+def _attractor_mask(
+    game: ParityGame, alive: int, seed: int, p: int, front: Optional[int] = None
+) -> int:
     # grow one layer of predecessors at a time; ``free`` holds the alive
-    # positions not attracted yet
+    # positions not attracted yet.  The first layer grows from ``front``
+    # (by default ``seed``), so a caller may pass any part of the seed
+    # such that every free position that can join in the first layer
+    # has a move into ``front``.  After the first layer nothing changes:
+    # the next front is what joined
     pred_masks = game.pred_masks
     succ_masks = game.succ_masks
     own = game.owner_masks[p]
     rest = free = alive & ~seed
-    front = seed
+    if front is None:
+        front = seed
     while front:
         cand = 0
         while front:
@@ -459,7 +481,7 @@ def _require_inside(g: Subgame, s: PositionSet, what: str) -> None:
 
 def max_priority(g: Subgame) -> tuple[int, PositionSet]:
     """Highest priority among alive positions and the set of its holders."""
-    pr, mask = _max_priority_mask(g.game, g.alive.mask)
+    pr, mask, _ = _max_priority_mask(g.game, g.alive.mask)
     return pr, PositionSet(g.game, mask)
 
 

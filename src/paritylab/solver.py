@@ -467,10 +467,15 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
 
     The recursion runs on an explicit stack, so its depth is bounded by
     memory rather than by the interpreter's recursion limit: each call is
-    a generator that yields the alive mask of every child it needs and is
-    sent back the child's ``(w0, w1)`` masks.
+    a generator that yields the alive mask of every child it needs, with
+    the child's priority cursor, and is sent back the child's ``(w0,
+    w1)`` masks.  The cursor is an index into ``priority_levels`` before
+    which no level meets the child: the left child starts below the
+    level just removed, the right child at it, and the others at their
+    parent's.
     """
     game = g.game
+    succ_masks = game.succ_masks
     stats = SolveStats()
     memo = cfg.memoization
     # every entered alive mask; with memoization, mapped to its (w0, w1)
@@ -483,15 +488,16 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     # the dominion searches already run, for replaying (see _find_dominion_mask)
     record: dict[int, tuple[int, int, Optional[int], int]] = {}
 
-    def call(alive: int) -> Generator[int, tuple[int, int], tuple[int, int]]:
-        # one call on a non-empty alive set
+    def call(alive: int, lo: int) -> Generator[tuple[int, int], tuple[int, int], tuple[int, int]]:
+        # one call on a non-empty alive set that no priority level before
+        # ``lo`` meets; it yields each child with the child's own cursor
         if dom_on:
             bound = default_dominion_bound(alive.bit_count())
             found = _find_dominion_mask(game, alive, bound, (0, 1), stats, record)
             if found is not None:
                 d, p = found
                 a = _attractor_mask(game, alive, d, p)
-                r0, r1 = yield alive & ~a
+                r0, r1 = yield alive & ~a, lo
                 return (r0 | a, r1) if p == 0 else (r0, r1 | a)
         if scc_on:
             comp = _first_scc(game, alive)
@@ -501,7 +507,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 rem = alive
                 w0 = w1 = 0
                 while True:
-                    c0, c1 = yield comp
+                    c0, c1 = yield comp, lo
                     a0 = _attractor_mask(game, rem, c0, 0) if c0 else 0
                     rem &= ~a0
                     a1 = _attractor_mask(game, rem, c1, 1) if c1 else 0
@@ -511,21 +517,37 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                     if not rem:
                         return w0, w1
                     comp = _first_scc(game, rem)
-        pr, holders = _max_priority_mask(game, alive)
+        pr, holders, i = _max_priority_mask(game, alive, lo)
         p = pr & 1
         a = _attractor_mask(game, alive, holders, p)
-        l0, l1 = yield alive & ~a
+        l0, l1 = yield alive & ~a, i + 1
         w_opp = l1 if p == 0 else l0
-        b = _attractor_mask(game, alive, w_opp, 1 - p) if w_opp else 0
+        if w_opp:
+            # w_opp is a trap for p in alive & ~a, so whatever joins its
+            # attractor first lies in a and moves into w_opp.  Each
+            # position of a outside holders has a move into a (all its
+            # moves, if 1 - p owns it), so it cannot join first either:
+            # the first layer needs only the part of w_opp that holders
+            # move into
+            front = 0
+            m = holders
+            while m:
+                low = m & -m
+                front |= succ_masks[low.bit_length() - 1]
+                m ^= low
+            b = _attractor_mask(game, alive, w_opp, 1 - p, front & w_opp)
+        else:
+            b = 0
         if b == w_opp:
             wp = alive & ~w_opp
             return (wp, w_opp) if p == 0 else (w_opp, wp)
-        r0, r1 = yield alive & ~b
+        r0, r1 = yield alive & ~b, i
         wp = r0 if p == 0 else r1
         return (wp, alive & ~wp) if p == 0 else (alive & ~wp, wp)
 
-    frames: list[Generator[int, tuple[int, int], tuple[int, int]]] = []
+    frames: list[Generator[tuple[int, int], tuple[int, int], tuple[int, int]]] = []
     child = g.alive.mask
+    lo = 0
     t0 = perf_counter()
     try:
         while True:
@@ -539,7 +561,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
             if result is not None:
                 stats.memo_hits += 1
             elif child:
-                frames.append(call(child))
+                frames.append(call(child, lo))
             else:
                 result = (0, 0)
                 if memo:
@@ -548,7 +570,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
             # finished call's result to the frame below
             while frames:
                 try:
-                    child = frames[-1].send(result)
+                    child, lo = frames[-1].send(result)
                     break
                 except StopIteration as done:
                     frames.pop()

@@ -19,9 +19,10 @@ from paritylab import (
     max_priority,
     predecessor,
     remove,
+    solve,
 )
 
-from paritylab.core import _attractor_mask, _cycle_heads, _predecessor_mask
+from paritylab.core import _attractor_mask, _cycle_heads, _max_priority_mask, _predecessor_mask
 
 from conftest import mk
 
@@ -241,6 +242,54 @@ def test_attractor_is_the_least_fixpoint(game_seed, n, whole, cut, q, pick, p):
         alive &= ~_least_fixpoint(g, alive, cut & alive, q)
     seed = pick & alive
     assert _attractor_mask(g, alive, seed, p) == _least_fixpoint(g, alive, seed, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 2**40 - 1))
+def test_priority_cursor_matches_a_full_scan(game_seed, n, pick):
+    g = gen_random(n, game_seed)
+    assert all(g.priority_levels[g.level_of[v]][0] == g.priorities[v] for v in range(n))
+    alive = pick & g.full_mask or 1 << pick % n
+    pr, holders, i = want = _max_priority_mask(g, alive)
+    assert g.priority_levels[i][0] == pr == max(g.priorities[v] for v in range(n) if alive >> v & 1)
+    for lo in range(i + 1):
+        assert _max_priority_mask(g, alive, lo) == want
+
+
+def test_priority_cursor_falls_back_on_the_positions():
+    # one alive position of the lowest of six levels: a scan of one level
+    # from any cursor short of it misses, so the position gives the level
+    g = mk([0] * 6, list(range(6)), [[v] for v in range(6)])
+    assert g.level_of == (5, 4, 3, 2, 1, 0)
+    for lo in range(6):
+        assert _max_priority_mask(g, 0b1, lo) == (0, 0b1, 5)
+    assert _max_priority_mask(g, 0b101, 1) == (2, 0b100, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.booleans(), st.integers(0, 2**40 - 1), st.integers(0, 1))
+def test_right_attractor_grows_from_what_the_holders_move_into(game_seed, n, whole, cut, q):
+    # the front ``solve`` hands the right step's attractor: the part of
+    # the opponent's region that the max-priority holders move into
+    g = gen_random(n, game_seed)
+    alive = g.full_mask
+    if not whole:
+        alive &= ~_least_fixpoint(g, alive, cut & alive, q)
+    if not alive:
+        return
+    pr, holders, _ = _max_priority_mask(g, alive)
+    p = pr & 1
+    a = _attractor_mask(g, alive, holders, p)
+    if a == alive:
+        return
+    regions, _ = solve(Subgame(g, PositionSet(g, alive & ~a)))
+    w_opp = regions.of(1 - p).mask
+    front = 0
+    for v in range(n):
+        if holders >> v & 1:
+            front |= g.succ_masks[v]
+    got = _attractor_mask(g, alive, w_opp, 1 - p, front & w_opp)
+    assert got == _least_fixpoint(g, alive, w_opp, 1 - p)
 
 
 def _heads_by_simple_cycles(prs, step, within, parity):

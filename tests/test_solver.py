@@ -191,6 +191,35 @@ def test_deep_chain_leaves_recursion_limit_alone(variant):
     assert sys.getrecursionlimit() == limit
 
 
+def _counting(items, reads):
+    # a tuple that counts the items read from it into ``reads[0]``
+    class Counting(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            for item in tuple.__iter__(self):
+                reads[0] += 1
+                yield item
+
+    return Counting(items)
+
+
+@pytest.mark.parametrize("variant", ["plain", "scc"])
+def test_chain_calls_read_constant_work(variant):
+    # each call reads a bounded number of predecessor masks and priority
+    # levels, not a number that grows with the chain
+    n = 400
+    g = _chain(n)
+    reads = [0]
+    for name in ("pred_masks", "priority_levels"):
+        object.__setattr__(g, name, _counting(getattr(g, name), reads))
+    regions, _ = solve(Subgame.whole(g), VARIANTS[variant])
+    assert regions.of(0).indices() == tuple(range(0, n, 2))
+    assert reads[0] <= 8 * n
+
+
 def _tarjan(game, alive):
     # textbook recursive Tarjan (SIAM J. Comput. 1972), successors in
     # ascending order: the components of the alive part as masks, in

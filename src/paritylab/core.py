@@ -100,49 +100,39 @@ class ParityGame:
         n = len(owners)
         if len(priorities) != n or len(successors) != n:
             raise ValueError("owners, priorities and successors must have equal length")
-        owners_t = tuple(int(o) for o in owners)
-        for v, o in enumerate(owners_t):
+        owners_t = tuple(map(int, owners))
+        priorities_t = tuple(map(int, priorities))
+        succ_t = []
+        masks = []
+        pred_masks = [0] * n
+        owner_masks = [0, 0]
+        by_pr: dict[int, int] = {}
+        # one pass, faults reported per position in index order
+        for v, (o, p, raw) in enumerate(zip(owners_t, priorities_t, successors)):
             if o not in (0, 1):
                 raise ValueError(f"position {v}: owner must be 0 or 1, got {o!r}")
-        priorities_t = tuple(int(p) for p in priorities)
-        for v, p in enumerate(priorities_t):
             if p < 0:
                 raise ValueError(f"position {v}: priority must be non-negative")
-
-        succ_t = []
-        for v, raw in enumerate(successors):
-            seen: set[int] = set()
+            bit = 1 << v
             row = []
+            m = 0
             for s in raw:
                 s = int(s)
                 if not 0 <= s < n:
                     raise ValueError(f"position {v}: successor {s} out of range")
-                if s not in seen:
-                    seen.add(s)
+                sb = 1 << s
+                if not m & sb:
+                    m |= sb
                     row.append(s)
+                    pred_masks[s] |= bit
             if not row:
                 raise NotAGame(f"position {v} has no moves")
             succ_t.append(tuple(row))
-
-        pred_masks = [0] * n
-        masks = []
-        for v, row in enumerate(succ_t):
-            m = 0
-            bit = 1 << v
-            for s in row:
-                pred_masks[s] |= bit
-                m |= 1 << s
             masks.append(m)
-
-        by_pr: dict[int, int] = {}
-        for v, p in enumerate(priorities_t):
-            by_pr[p] = by_pr.get(p, 0) | (1 << v)
+            owner_masks[o] |= bit
+            by_pr[p] = by_pr.get(p, 0) | bit
         levels = tuple(sorted(by_pr.items(), reverse=True))
         rank = {pr: i for i, (pr, _) in enumerate(levels)}
-
-        owner_masks = [0, 0]
-        for v, o in enumerate(owners_t):
-            owner_masks[o] |= 1 << v
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "owners", owners_t)

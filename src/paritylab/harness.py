@@ -63,34 +63,14 @@ class NotLeftTotal(ParseError):
 
 
 _NAME_RE = re.compile(r'"([^"]*)"\s*$')
-_DIGITS_RE = re.compile(r"[0-9]+")
 
 _GENERATORS = {"core": gen_core, "scc": gen_scc}
-
-
-def _statements(text: str):
-    # ';'-terminated statements; several may share a line
-    line = 1
-    idx = 0
-    while idx < len(text):
-        ch = text[idx]
-        if ch in " \t\r\n":
-            line += ch == "\n"
-            idx += 1
-            continue
-        end = text.find(";", idx)
-        if end == -1:
-            raise ParseError(line, "missing ';'")
-        stmt = text[idx:end]
-        yield line, stmt.strip()
-        line += stmt.count("\n")
-        idx = end + 1
 
 
 def _int_field(line_no: int, token: str, what: str) -> int:
     # ASCII decimal digits only: int() also takes other digits, '_' and '+',
     # which a written game would not give back
-    if _DIGITS_RE.fullmatch(token):
+    if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:  # past int()'s digit limit
@@ -105,29 +85,28 @@ def parse_pgsolver(text: str) -> ParityGame:
     input, duplicate or undeclared ids, and ``NotLeftTotal`` when a
     position has no successors.
     """
-    ids: List[int] = []
-    prs: List[int] = []
-    owners: List[int] = []
-    succ_ids: List[List[int]] = []
-    names: List[Optional[str]] = []
-    decl_line: List[int] = []
+    # ';'-terminated statements, several may share a line; only " \t\r\n"
+    # separates them, and a statement's line is that of its first other
+    # character
+    *stmts, tail = text.split(";")
+    rows = []  # (line, id, priority, owner, successor ids, name)
     index_of: dict[int, int] = {}
     seen_header = False
-    first = True
-
-    for line_no, stmt in _statements(text):
-        if first and stmt.split()[:1] == ["parity"]:
+    line = 1
+    for i, piece in enumerate(stmts):
+        lead = len(piece) - len(piece.lstrip(" \t\r\n"))
+        line_no = line + piece.count("\n", 0, lead)
+        line += piece.count("\n")
+        stmt = piece.strip()
+        if i == 0 and stmt.split()[:1] == ["parity"]:
             parts = stmt.split()
             if len(parts) != 2:
                 raise ParseError(line_no, "header must be 'parity <max-id>'")
             _int_field(line_no, parts[1], "header max-id")
             seen_header = True
-            first = False
             continue
-        first = False
 
         m = _NAME_RE.search(stmt)
-        name = m.group(1) if m else None
         head = stmt[: m.start()].strip() if m else stmt
         parts = head.split()
         if len(parts) < 3:
@@ -147,27 +126,27 @@ def parse_pgsolver(text: str) -> ParityGame:
             succ.append(_int_field(line_no, tok, "successor"))
         if pid in index_of:
             raise ParseError(line_no, f"duplicate id {pid}")
-        index_of[pid] = len(ids)
-        ids.append(pid)
-        prs.append(pr)
-        owners.append(owner)
-        succ_ids.append(succ)
-        names.append(name)
-        decl_line.append(line_no)
+        index_of[pid] = len(rows)
+        rows.append((line_no, pid, pr, owner, succ, m.group(1) if m else None))
 
-    if not ids:
+    # after the statements, so that a fault in one of them is reported first
+    body = tail.lstrip(" \t\r\n")
+    if body:
+        raise ParseError(line + tail.count("\n", 0, len(tail) - len(body)), "missing ';'")
+    if not rows:
         what = "no positions declared" + (" after header" if seen_header else "")
         raise ParseError(1, what)
 
-    successors: List[List[int]] = []
-    for v, row in enumerate(succ_ids):
+    successors = []
+    for line_no, pid, _, _, succ, _ in rows:
         try:
-            successors.append([index_of[s] for s in row])
+            successors.append([index_of[s] for s in succ])
         except KeyError as exc:
             raise ParseError(
-                decl_line[v], f"successor {exc.args[0]} of position {ids[v]} is not declared"
+                line_no, f"successor {exc.args[0]} of position {pid} is not declared"
             ) from None
 
+    _, ids, prs, owners, _, names = zip(*rows)
     labels: Optional[List[object]] = None
     if any(n is not None for n in names):
         labels = [
@@ -187,9 +166,12 @@ def write_pgsolver(g: ParityGame) -> str:
     for v in range(g.n):
         succ = ",".join(str(ids[s]) for s in g.successors[v])
         label = g.label_of(v)
-        if label is not None and (";" in str(label) or '"' in str(label)):
-            raise ValueError(f"label {str(label)!r} of position {ids[v]} holds ';' or '\"'")
-        tail = f' "{label}";' if label is not None else ";"
+        tail = ";"
+        if label is not None:
+            label = str(label)
+            if ";" in label or '"' in label:
+                raise ValueError(f"label {label!r} of position {ids[v]} holds ';' or '\"'")
+            tail = f' "{label}";'
         out.append(f"{ids[v]} {g.priorities[v]} {g.owners[v]} {succ}{tail}")
     return "\n".join(out) + "\n"
 

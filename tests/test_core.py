@@ -54,6 +54,20 @@ def test_rejects_position_without_moves():
         mk([0, 1], [0, 1], [[1], []])
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (([0, 5], [-1, 0], [[0], [1]]), "position 0: priority"),
+        (([0, 5], [0, 0], [[2], [1]]), "position 0: successor 2 out of range"),
+    ],
+    ids=["priority-before-later-owner", "successor-before-later-owner"],
+)
+def test_faults_are_reported_in_position_order(args, message):
+    # each position is checked in full before the next one
+    with pytest.raises(ValueError, match=message):
+        mk(*args)
+
+
 def test_successors_deduplicated_in_order():
     g = mk([0], [0], [[0, 0, 0]])
     assert g.successors == ((0,),)

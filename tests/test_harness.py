@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from paritylab import (
     ParityGame,
     ParseError,
     gen_core,
+    gen_random,
     gen_scc,
     parse_pgsolver,
     run_bench,
@@ -75,6 +77,15 @@ def test_parse_revives_role_labels_and_keeps_strings():
         pytest.param("0 1_0 0 0;", 1, id="underscore-field"),
         pytest.param("0 +1 0 0;", 1, id="plus-sign-field"),
         pytest.param("0 -1 0 0;", 1, id="negative-field"),
+        # a statement is blamed at the line of its first character outside
+        # " \t\r\n"; other whitespace does not separate statements
+        pytest.param("0 2 0 1;\n1 1\n 1 x;", 2, id="statement-spans-lines"),
+        pytest.param("\r\n\r\n0 2 0 x;", 3, id="crlf-before-statement"),
+        pytest.param("0 2 0 0;\n\n  junk", 3, id="missing-terminator-after-blank-lines"),
+        pytest.param("\x0c\n0 2 0 x;", 1, id="form-feed-starts-statement"),
+        pytest.param("0 2 0 0;\x0c", 1, id="form-feed-needs-terminator"),
+        pytest.param("parity 0;\nparity 0;", 2, id="header-only-first"),
+        pytest.param("0 2 0 1;\n\n1 1\n1 7;", 3, id="undeclared-successor-of-split-statement"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -106,6 +117,29 @@ def test_parse_fails_only_with_parse_error(text):
     except ParseError:
         return
     assert g.n >= 1
+
+
+# the only characters that separate statements; runs of them may go
+# anywhere a space may, and also around ';' and ','
+_SEPARATORS = " \t\r\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**6), st.data())
+def test_parse_reads_valid_text_in_any_layout(n, seed, data):
+    game = gen_random(n, seed)
+    tokens = re.findall(r"[;,]|[^\s;,]+", write_pgsolver(game))
+    pieces = []
+    for prev, tok in zip([";"] + tokens, tokens):
+        # two words need at least one separator between them
+        gap = prev not in ";," and tok not in ";,"
+        pieces += [data.draw(st.text(_SEPARATORS, min_size=gap, max_size=4)), tok]
+    pieces.append(data.draw(st.text(_SEPARATORS, max_size=4)))
+    g = parse_pgsolver("".join(pieces))
+    assert g.owners == game.owners
+    assert g.priorities == game.priorities
+    assert g.successors == game.successors
+    assert g.source_ids == tuple(range(n))
 
 
 @pytest.mark.parametrize(

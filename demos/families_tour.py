@@ -7,22 +7,18 @@ blow-up alive through every enhancement.
 Run: python demos/families_tour.py
 """
 
-from paritylab import SolverConfig, Subgame, gen_core, gen_scc, solve
+from paritylab import VARIANTS, Subgame, gen_core, gen_scc, solve
 
-CONFIGS = {
-    "plain": SolverConfig(),
-    "memo": SolverConfig(memoization=True),
-    "memo+scc": SolverConfig(memoization=True, scc_decomposition=True),
-}
+NAMES = ("plain", "memo", "memo+scc")
 
 for name, gen in (("core", gen_core), ("connector", gen_scc)):
     print(f"\n{name} family")
-    print(f"{'k':>3} {'n':>5}" + "".join(f" {c:>12}" for c in CONFIGS))
+    print(f"{'k':>3} {'n':>5}" + "".join(f" {c:>12}" for c in NAMES))
     for k in range(1, 7):
         game = gen(k)
         counts = []
-        for cfg in CONFIGS.values():
-            _, stats = solve(Subgame.whole(game), cfg)
+        for variant in NAMES:
+            _, stats = solve(Subgame.whole(game), VARIANTS[variant])
             counts.append(stats.distinct_subgames)
         bound = 3 * (2 ** (k + 1) - 1)
         row = f"{k:>3} {game.n:>5}" + "".join(f" {c:>12}" for c in counts)

@@ -26,6 +26,7 @@ has its own definition-level test; it calls nothing from ``solve``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
@@ -409,6 +410,11 @@ def verify_single_scc(t: InducedTree) -> Report:
     return rep
 
 
+# min_core_dominion is called once per node of a tree, so on one game many
+# times over; the index of the last game is kept (games hash by identity)
+_family_index = functools.lru_cache(maxsize=1)(FamilyIndex)
+
+
 def min_core_dominion(g: Subgame, k: int, size_cap: int) -> Optional[int]:
     """Size of the smallest dominion meeting the labelled core.
 
@@ -421,7 +427,7 @@ def min_core_dominion(g: Subgame, k: int, size_cap: int) -> Optional[int]:
     """
     if size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-    idx = FamilyIndex(g.game)
+    idx = _family_index(g.game)
     if max(idx.alpha) != 2 * k:
         raise GameError(f"game is labelled for index {max(idx.alpha) // 2}, not {k}")
     ext = idx.extension_mask

@@ -100,6 +100,9 @@ class ParityGame:
         n = len(owners)
         if len(priorities) != n or len(successors) != n:
             raise ValueError("owners, priorities and successors must have equal length")
+        for name, given in (("labels", labels), ("source_ids", source_ids)):
+            if given is not None and len(given) != n:
+                raise ValueError(f"{name} must have one entry per position: {len(given)} for {n}")
         owners_t = tuple(map(int, owners))
         priorities_t = tuple(map(int, priorities))
         succ_t = []

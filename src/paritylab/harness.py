@@ -179,15 +179,25 @@ def write_pgsolver(g: ParityGame) -> str:
 # benchmark plumbing
 
 
-VARIANTS = {
-    "plain": SolverConfig(),
-    "memo": SolverConfig(memoization=True),
-    "scc": SolverConfig(scc_decomposition=True),
-    "memo+scc": SolverConfig(memoization=True, scc_decomposition=True),
-    "memo+scc+dom": SolverConfig(
-        memoization=True, scc_decomposition=True, dominion_decomposition=True
-    ),
-}
+_LAYERS = ("memo", "scc", "dom")
+_NAME_RULE = "a variant is plain, or memo, scc and dom joined by '+' in that order"
+
+
+def _config(name: str) -> Optional[SolverConfig]:
+    """The solver configuration that a variant name spells, else ``None``.
+
+    Each configuration has exactly one name: ``plain`` for none of the
+    layers, or the enabled ones of ``memo``, ``scc`` and ``dom`` joined by
+    ``+`` in that order (``memo+scc``, not ``scc+memo``).
+    """
+    on = [layer in name.split("+") for layer in _LAYERS]
+    if name != ("+".join(layer for layer, o in zip(_LAYERS, on) if o) or "plain"):
+        return None
+    memo, scc, dom = on
+    return SolverConfig(memoization=memo, scc_decomposition=scc, dominion_decomposition=dom)
+
+
+VARIANTS = {name: _config(name) for name in ("plain", "memo", "scc", "memo+scc", "memo+scc+dom")}
 
 
 @dataclass
@@ -221,18 +231,25 @@ def run_bench(
 ) -> List[BenchRecord]:
     """Solve every (family, k, variant) cell and collect one record each.
 
-    Cells are independent; they run serially here and rows come out in
-    the loop order family > k > variant, which keeps the CSV
-    deterministic apart from ``wall_time_ms``.
+    ``variants`` are names: ``plain``, or ``memo``, ``scc`` and ``dom``
+    joined by ``+`` in that order.  A ``ValueError`` naming every other
+    one is raised before anything is solved.  Cells
+    are independent; they run serially here and rows come out in the
+    loop order family > k > variant, which keeps the CSV deterministic
+    apart from ``wall_time_ms``.
     """
+    configs = [_config(v) for v in variants]
+    unknown = [v for v, cfg in zip(variants, configs) if cfg is None]
+    if unknown:
+        raise ValueError(f"unknown variants: {', '.join(unknown)}; {_NAME_RULE}")
     records = []
     for family in families:
         gen = _GENERATORS[family]
         for k in ks:
             game = gen(k)
             whole = Subgame.whole(game)
-            for variant in variants:
-                regions, stats = solve(whole, VARIANTS[variant])
+            for variant, cfg in zip(variants, configs):
+                regions, stats = solve(whole, cfg)
                 records.append(
                     BenchRecord(
                         family=family,
@@ -289,9 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="solve a PGSolver file and print a summary")
     slv.add_argument("--in", dest="infile", required=True)
-    slv.add_argument("--memo", action="store_true", help="memoize solved subgames")
-    slv.add_argument("--scc", action="store_true", help="split into components first")
-    slv.add_argument("--dominion", action="store_true", help="search small dominions first")
+    slv.add_argument("--variant", default="plain", metavar="NAME", help=_NAME_RULE)
     slv.add_argument("--stats", help="also dump counters as JSON to this file")
 
     ver = sub.add_parser("verify", help="run one structural check on a family game")
@@ -314,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--family", choices=("core", "scc"), required=True)
     ben.add_argument("--k-min", type=int, required=True)
     ben.add_argument("--k-max", type=int, required=True)
-    ben.add_argument("--variants", required=True, help="comma-separated variant names")
+    ben.add_argument("--variants", required=True, help=f"comma-separated names; {_NAME_RULE}")
     ben.add_argument("--csv", help="output file (default: stdout)")
     return parser
 
@@ -331,13 +346,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    cfg = _config(args.variant)
+    if cfg is None:
+        raise ValueError(f"unknown variant {args.variant!r}; {_NAME_RULE}")
     with open(args.infile, "r", encoding="utf-8") as handle:
         game = parse_pgsolver(handle.read())
-    cfg = SolverConfig(
-        memoization=args.memo,
-        scc_decomposition=args.scc,
-        dominion_decomposition=args.dominion,
-    )
     regions, stats = solve(Subgame.whole(game), cfg)
     summary = {
         "n": game.n,
@@ -409,14 +422,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     names = [v.strip() for v in args.variants.split(",") if v.strip()]
-    unknown = [v for v in names if v not in VARIANTS]
-    if unknown or not names:
-        what = ", ".join(unknown) if unknown else "(none given)"
-        print(f"unknown variants: {what}; choose from {', '.join(VARIANTS)}", file=sys.stderr)
-        return 2
+    if not names:
+        raise ValueError(f"no variants given; {_NAME_RULE}")
     if args.k_min < 1 or args.k_max < args.k_min:
-        print("need 1 <= k-min <= k-max", file=sys.stderr)
-        return 2
+        raise ValueError("need 1 <= k-min <= k-max")
     records = run_bench([args.family], range(args.k_min, args.k_max + 1), names)
     if args.csv:
         write_csv(records, args.csv)
@@ -442,10 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, BadIndex, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, BadIndex, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,6 +68,13 @@ def test_faults_are_reported_in_position_order(args, message):
         mk(*args)
 
 
+@pytest.mark.parametrize("extra", [{"labels": ["a"]}, {"source_ids": [7]}, {"source_ids": [7, 8, 9]}])
+def test_rejects_labels_or_source_ids_of_the_wrong_length(extra):
+    # a game built with them would fail later, in write_pgsolver or label_of
+    with pytest.raises(ValueError, match=f"{next(iter(extra))} must have one entry per position"):
+        ParityGame([0, 1], [0, 1], [[1], [0]], **extra)
+
+
 def test_successors_deduplicated_in_order():
     g = mk([0], [0], [[0, 0, 0]])
     assert g.successors == ((0,),)

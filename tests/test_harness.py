@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import re
 from pathlib import Path
@@ -16,6 +17,8 @@ from paritylab import (
     NotLeftTotal,
     ParityGame,
     ParseError,
+    SolverConfig,
+    VARIANTS,
     gen_core,
     gen_random,
     gen_scc,
@@ -24,7 +27,7 @@ from paritylab import (
     write_csv,
     write_pgsolver,
 )
-from paritylab.harness import main
+from paritylab.harness import _config, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,6 +232,38 @@ def test_run_bench_rows_and_csv_shape():
     assert "." in wall and len(wall.split(".")[1]) == 3
 
 
+BAD_NAMES = ["turbo", "scc+memo", "memo+memo", ""]
+
+
+def test_each_configuration_has_exactly_one_name():
+    names = ["plain", "memo", "scc", "memo+scc", "dom", "memo+dom", "scc+dom", "memo+scc+dom"]
+    configs = [_config(name) for name in names]
+    # the flag order of itertools.product((False, True), repeat=3) is dom, scc, memo
+    assert configs == [
+        SolverConfig(memoization=memo, scc_decomposition=scc, dominion_decomposition=dom)
+        for dom, scc, memo in itertools.product((False, True), repeat=3)
+    ]
+    assert all(_config(name) is None for name in BAD_NAMES + ["plain+memo", "memo+", "dominion"])
+
+
+def test_named_variants_are_the_five_grid_configs():
+    assert list(VARIANTS) == ["plain", "memo", "scc", "memo+scc", "memo+scc+dom"]
+    assert VARIANTS == {
+        "plain": SolverConfig(),
+        "memo": SolverConfig(memoization=True),
+        "scc": SolverConfig(scc_decomposition=True),
+        "memo+scc": SolverConfig(memoization=True, scc_decomposition=True),
+        "memo+scc+dom": SolverConfig(
+            memoization=True, scc_decomposition=True, dominion_decomposition=True
+        ),
+    }
+
+
+def test_run_bench_names_every_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variants: turbo, scc\\+memo;"):
+        run_bench(["core"], [1], ["plain", "turbo", "scc+memo"])
+
+
 def test_bench_output_is_deterministic_apart_from_timing():
     def snapshot():
         buf = io.StringIO()
@@ -270,7 +305,7 @@ def test_cli_solve_round_trip(tmp_path, capsys):
     assert main(["gen", "--family", "scc", "--k", "1", "--out", str(game_file)]) == 0
     stats_file = tmp_path / "stats.json"
     code = main(
-        ["solve", "--in", str(game_file), "--memo", "--scc", "--stats", str(stats_file)]
+        ["solve", "--in", str(game_file), "--variant", "memo+scc", "--stats", str(stats_file)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -358,6 +393,19 @@ def test_cli_bench_rejects_unknown_variant(capsys):
     code = main(["bench", "--family", "core", "--k-min", "1", "--k-max", "2", "--variants", "turbo"])
     assert code == 2
     assert "unknown variants: turbo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_cli_rejects_names_outside_the_grammar(command, name, capsys):
+    game_file = str(DATA / "scc_k1.pg")
+    argv = {
+        "solve": ["solve", "--in", game_file, "--variant", name],
+        "bench": ["bench", "--family", "core", "--k-min", "1", "--k-max", "1", "--variants", name],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_bench_rejects_bad_range(capsys):

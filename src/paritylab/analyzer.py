@@ -114,6 +114,7 @@ class TreeLabel:
         return cls(word, "hat")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class InducedTree:
     """The subgames a recursive descent pins down for one family game.
 
@@ -121,23 +122,14 @@ class InducedTree:
     ``w0_of`` gives the winning region of player 0 that construction
     computed for each hat node whose word ends in ``L``, the only nodes
     the checks ask about; it raises ``KeyError`` for any other node.
+    Trees compare and hash by identity, since their dicts cannot hash.
     """
 
-    __slots__ = ("game", "k", "index", "nodes", "_w0")
-
-    def __init__(
-        self,
-        game: ParityGame,
-        k: int,
-        index: FamilyIndex,
-        nodes: Dict[TreeLabel, Subgame],
-        w0: Dict[TreeLabel, PositionSet],
-    ) -> None:
-        self.game = game
-        self.k = k
-        self.index = index
-        self.nodes = nodes
-        self._w0 = w0
+    game: ParityGame
+    k: int
+    index: FamilyIndex
+    nodes: Dict[TreeLabel, Subgame]
+    _w0: Dict[TreeLabel, PositionSet]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -361,7 +353,7 @@ def verify_distinctness(t: InducedTree) -> tuple[int, list[str]]:
 
     for w in _words(k):
         hub = 0 if len(w) == k else 2 * (k - len(w)) - 1
-        bit = 1 << idx.gamma[hub]
+        bit = _role_mask(idx.gamma, hub)
         for side, wanted in (("L", True), ("R", False)):
             base = w + side
             for v in _words(k + 1 - len(base)):

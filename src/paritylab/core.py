@@ -21,6 +21,7 @@ functions are pure, so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -169,23 +170,21 @@ class ParityGame:
         return f"ParityGame(n={self.n}, moves={self.move_count})"
 
 
+@dataclass(frozen=True, slots=True)
 class PositionSet:
     """An immutable subset of the positions of one master game.
 
     Supports membership, boolean algebra, ascending iteration, equality
-    and hashing, which makes it directly usable as a memo key.
+    and hashing, which makes it directly usable as a memo key.  Two sets
+    are equal when they hold the same mask of the very same game object.
     """
 
-    __slots__ = ("game", "mask")
+    game: ParityGame
+    mask: int
 
-    def __init__(self, game: ParityGame, mask: int) -> None:
-        if mask & ~game.full_mask:
-            raise OutOfSubgame(f"mask {bin(mask)} has bits outside the game")
-        object.__setattr__(self, "game", game)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("PositionSet is immutable")
+    def __post_init__(self) -> None:
+        if self.mask & ~self.game.full_mask:
+            raise OutOfSubgame(f"mask {bin(self.mask)} has bits outside the game")
 
     @classmethod
     def empty(cls, game: ParityGame) -> "PositionSet":
@@ -243,16 +242,6 @@ class PositionSet:
     def indices(self) -> tuple[int, ...]:
         return tuple(_bits(self.mask))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PositionSet)
-            and self.game is other.game
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.game), self.mask))
-
     def __repr__(self) -> str:
         idx = self.indices()
         shown = ", ".join(map(str, idx[:12]))
@@ -261,6 +250,7 @@ class PositionSet:
         return f"PositionSet{{{shown}}}"
 
 
+@dataclass(frozen=True, slots=True)
 class Subgame:
     """A master game restricted to an alive set of positions.
 
@@ -268,19 +258,15 @@ class Subgame:
     alive successor, so a ``Subgame`` is always a playable game.
     """
 
-    __slots__ = ("game", "alive")
+    game: ParityGame
+    alive: PositionSet
 
-    def __init__(self, game: ParityGame, alive: PositionSet) -> None:
-        if alive.game is not game:
+    def __post_init__(self) -> None:
+        if self.alive.game is not self.game:
             raise ValueError("alive set belongs to a different master game")
-        bad = _left_total_violation(game, alive.mask)
+        bad = _left_total_violation(self.game, self.alive.mask)
         if bad is not None:
             raise NotAGame(f"position {bad} would have no alive successor")
-        object.__setattr__(self, "game", game)
-        object.__setattr__(self, "alive", alive)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Subgame is immutable")
 
     @classmethod
     def whole(cls, game: ParityGame) -> "Subgame":
@@ -293,40 +279,19 @@ class Subgame:
     def is_empty(self) -> bool:
         return not self.alive
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgame)
-            and self.game is other.game
-            and self.alive.mask == other.alive.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.game), self.alive.mask))
-
     def __repr__(self) -> str:
         return f"Subgame({len(self.alive)}/{self.game.n} alive)"
 
 
+@dataclass(frozen=True, slots=True)
 class Regions:
     """The two winning regions of a solved subgame (a partition of alive)."""
 
-    __slots__ = ("w0", "w1")
-
-    def __init__(self, w0: PositionSet, w1: PositionSet) -> None:
-        object.__setattr__(self, "w0", w0)
-        object.__setattr__(self, "w1", w1)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Regions is immutable")
+    w0: PositionSet
+    w1: PositionSet
 
     def of(self, p: int) -> PositionSet:
         return self.w0 if p == 0 else self.w1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Regions) and self.w0 == other.w0 and self.w1 == other.w1
-
-    def __hash__(self) -> int:
-        return hash((self.w0, self.w1))
 
     def __repr__(self) -> str:
         return f"Regions(w0={len(self.w0)}, w1={len(self.w1)})"

@@ -12,7 +12,8 @@ game survives a round trip with its structure intact.
 
 ``run_bench`` solves family games under named enhancement variants and
 returns flat records ready for CSV; ``main`` is the console entry point
-(``gen``, ``solve``, ``verify``, ``bench``).
+(``gen``, ``solve``, ``verify``, ``bench``), which ``python -m paritylab``
+also runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, fields
-from typing import Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Union
 
 from .analyzer import (
     build_induced_tree,
@@ -224,6 +225,42 @@ def _counters(stats: SolveStats) -> dict[str, int]:
     return {f.name: getattr(stats, f.name) for f in fields(stats) if f.name != "wall_time"}
 
 
+def _configs(variants: Sequence[str]) -> List[SolverConfig]:
+    # each name's configuration; a ValueError names every unknown one
+    configs = [_config(v) for v in variants]
+    unknown = [v for v, cfg in zip(variants, configs) if cfg is None]
+    if unknown:
+        raise ValueError(f"unknown variants: {', '.join(unknown)}; {_NAME_RULE}")
+    return configs
+
+
+def _bench_rows(
+    families: Sequence[str],
+    ks: Iterable[int],
+    variants: Sequence[str],
+    configs: Sequence[SolverConfig],
+) -> Iterator[BenchRecord]:
+    # one record per cell, yielded as soon as the cell is solved
+    for family in families:
+        gen = _GENERATORS[family]
+        for k in ks:
+            game = gen(k)
+            whole = Subgame.whole(game)
+            for variant, cfg in zip(variants, configs):
+                regions, stats = solve(whole, cfg)
+                yield BenchRecord(
+                    family=family,
+                    k=k,
+                    n=game.n,
+                    m=game.move_count,
+                    variant=variant,
+                    **_counters(stats),
+                    wall_time_ms=stats.wall_time * 1000.0,
+                    won_by_0=not regions.w1,
+                    bound_3_2k1=3 * (2 ** (k + 1) - 1),
+                )
+
+
 def run_bench(
     families: Sequence[str],
     ks: Iterable[int],
@@ -238,36 +275,15 @@ def run_bench(
     loop order family > k > variant, which keeps the CSV deterministic
     apart from ``wall_time_ms``.
     """
-    configs = [_config(v) for v in variants]
-    unknown = [v for v, cfg in zip(variants, configs) if cfg is None]
-    if unknown:
-        raise ValueError(f"unknown variants: {', '.join(unknown)}; {_NAME_RULE}")
-    records = []
-    for family in families:
-        gen = _GENERATORS[family]
-        for k in ks:
-            game = gen(k)
-            whole = Subgame.whole(game)
-            for variant, cfg in zip(variants, configs):
-                regions, stats = solve(whole, cfg)
-                records.append(
-                    BenchRecord(
-                        family=family,
-                        k=k,
-                        n=game.n,
-                        m=game.move_count,
-                        variant=variant,
-                        **_counters(stats),
-                        wall_time_ms=stats.wall_time * 1000.0,
-                        won_by_0=not regions.w1,
-                        bound_3_2k1=3 * (2 ** (k + 1) - 1),
-                    )
-                )
-    return records
+    return list(_bench_rows(families, ks, variants, _configs(variants)))
 
 
 def write_csv(records: Iterable[BenchRecord], dest: Union[str, TextIO]) -> None:
-    """Write records as CSV, header always, columns in field order."""
+    """Write records as CSV, header always, columns in field order.
+
+    Each row is flushed once written, so rows that a generator yields
+    reach ``dest`` as they come.
+    """
     own = isinstance(dest, str)
     handle = open(dest, "w", newline="", encoding="utf-8") if own else dest
     try:
@@ -284,6 +300,7 @@ def write_csv(records: Iterable[BenchRecord], dest: Union[str, TextIO]) -> None:
                     value = f"{value:.3f}"
                 row.append(value)
             writer.writerow(row)
+            handle.flush()
     finally:
         if own:
             handle.close()
@@ -426,12 +443,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"no variants given; {_NAME_RULE}")
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ValueError("need 1 <= k-min <= k-max")
-    records = run_bench([args.family], range(args.k_min, args.k_max + 1), names)
+    ks = range(args.k_min, args.k_max + 1)
+    # names are checked before the output file is opened; rows are then
+    # written as their cells are solved
+    rows = _bench_rows([args.family], ks, names, _configs(names))
     if args.csv:
-        write_csv(records, args.csv)
-        print(f"wrote {len(records)} rows to {args.csv}")
+        write_csv(rows, args.csv)
+        print(f"wrote {len(ks) * len(names)} rows to {args.csv}")
     else:
-        write_csv(records, sys.stdout)
+        write_csv(rows, sys.stdout)
     return 0
 
 
@@ -454,7 +474,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, BadIndex, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -49,6 +49,15 @@ def test_tree_shape():
     assert repr(t) == "InducedTree(k=1, nodes=9)"
 
 
+def test_tree_is_frozen_and_compares_by_identity():
+    t = build_induced_tree(gen_core(1), 1)
+    with pytest.raises(AttributeError):
+        t.k = 2
+    assert t.k == 1
+    twin = build_induced_tree(t.game, 1)
+    assert t == t and t != twin and len({t, twin}) == 2
+
+
 CORE1_TREE = {
     ("", "plain"): ["a0", "a1", "a2", "b0", "b1", "b2", "g0", "g1", "g2"],
     ("L", "hat"): ["a0", "a1", "b0", "b1", "b2", "g0", "g1", "g2"],
@@ -171,6 +180,18 @@ def test_mutated_hub_breaks_distinctness_not_invariants():
     count, witness_failures = verify_distinctness(t)
     assert count == 20  # one pair of nodes collapsed, down from 21
     assert witness_failures  # and the separating hub witness names it
+
+
+def test_lost_hub_label_shows_up_as_witnesses():
+    # a hub whose label is gone is reported missing, not raised as KeyError
+    g = gen_core(2)
+    labels = ["x" if str(label) == "g3" else label for label in g.labels]
+    lost = ParityGame(g.owners, g.priorities, g.successors, labels=labels)
+    t = build_induced_tree(lost, 2, validate=False)
+    count, witness_failures = verify_distinctness(t)
+    assert count == 21
+    assert "g3 missing from G^[L]" in witness_failures
+    assert all(w.startswith("g3 missing from ") for w in witness_failures)
 
 
 def test_single_scc_fails_on_bare_core(core1):

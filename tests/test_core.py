@@ -11,6 +11,7 @@ from paritylab import (
     ParityGame,
     Player,
     PositionSet,
+    Regions,
     Subgame,
     attractor,
     gen_core,
@@ -88,6 +89,23 @@ def test_game_is_immutable():
         g.n = 5
 
 
+@pytest.mark.parametrize(
+    "make, attr",
+    [
+        (lambda g: PositionSet(g, 0b011), "mask"),
+        (lambda g: Subgame.whole(g), "alive"),
+        (lambda g: Regions(PositionSet(g, 0b011), PositionSet(g, 0b100)), "w0"),
+    ],
+    ids=["PositionSet", "Subgame", "Regions"],
+)
+def test_values_are_immutable(make, attr):
+    value = make(mk(*TRIANGLE))
+    before = getattr(value, attr)
+    with pytest.raises(AttributeError):
+        setattr(value, attr, before)
+    assert getattr(value, attr) is before
+
+
 def test_move_count_and_masks():
     g = mk(*TRIANGLE)
     assert g.n == 3
@@ -113,7 +131,7 @@ def test_position_set_algebra():
 
 def test_position_set_rejects_foreign_bits():
     g = mk(*TRIANGLE)
-    with pytest.raises(Exception):
+    with pytest.raises(OutOfSubgame, match="mask 0b1000 has bits outside the game"):
         PositionSet(g, 0b1000)
 
 
@@ -121,8 +139,32 @@ def test_subgame_validates_left_totality():
     g = mk(*TRIANGLE)
     Subgame(g, PositionSet(g, 0b011))  # 0 and 1 feed each other
     Subgame(g, PositionSet(g, 0b100))  # the self-loop alone
-    with pytest.raises(NotAGame):
+    with pytest.raises(NotAGame, match="position 0 would have no alive successor"):
         Subgame(g, PositionSet(g, 0b001))  # 0 alone has nowhere to go
+    with pytest.raises(ValueError, match="alive set belongs to a different master game"):
+        Subgame(g, PositionSet(mk(*TRIANGLE), 0b100))
+
+
+def test_values_compare_by_game_identity_and_mask():
+    g, twin = mk(*TRIANGLE), mk(*TRIANGLE)
+    a, b = PositionSet(g, 0b011), PositionSet(g, 0b011)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != PositionSet(g, 0b001)
+    # the same mask on a structurally identical game is another set
+    assert a != PositionSet(twin, 0b011)
+    assert len({a, b, PositionSet(twin, 0b011)}) == 2
+
+    s, t = Subgame(g, a), Subgame(g, b)
+    assert s == t and hash(s) == hash(t)
+    assert s != Subgame(g, PositionSet(g, 0b100))
+    assert s != Subgame(twin, PositionSet(twin, 0b011))
+
+    w1 = PositionSet(g, 0b100)
+    r = Regions(a, w1)
+    assert r == Regions(b, w1) and hash(r) == hash(Regions(b, w1))
+    assert r != Regions(w1, a)
+    assert r != Regions(a, PositionSet(g, 0))
+    assert r != Regions(PositionSet(twin, 0b011), PositionSet(twin, 0b100))
 
 
 def test_empty_subgame_is_allowed():

@@ -4,7 +4,10 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ from paritylab import (
     gen_scc,
     parse_pgsolver,
     run_bench,
+    solve,
     write_csv,
     write_pgsolver,
 )
@@ -383,6 +387,23 @@ def test_cli_bench_to_file(tmp_path, capsys):
     assert len(rows) == 7
 
 
+def test_cli_bench_keeps_rows_solved_before_a_failure(tmp_path, monkeypatch, capsys):
+    def failing_on_k2(sub, cfg):
+        if sub.game.n > gen_core(1).n:
+            raise ValueError("solver broke")
+        return solve(sub, cfg)
+
+    monkeypatch.setattr("paritylab.harness.solve", failing_on_k2)
+    out = tmp_path / "t.csv"
+    argv = ["bench", "--family", "core", "--k-min", "1", "--k-max", "2",
+            "--variants", "plain,memo", "--csv", str(out)]
+    assert main(argv) == 2
+    assert "solver broke" in capsys.readouterr().err
+    rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert rows[0][:2] == ["family", "k"]
+    assert [(r[1], r[4]) for r in rows[1:]] == [("1", "plain"), ("1", "memo")]
+
+
 def test_cli_bench_to_stdout(capsys):
     assert main(["bench", "--family", "scc", "--k-min", "1", "--k-max", "1", "--variants", "plain"]) == 0
     out = capsys.readouterr().out
@@ -397,15 +418,31 @@ def test_cli_bench_rejects_unknown_variant(capsys):
 
 @pytest.mark.parametrize("name", BAD_NAMES)
 @pytest.mark.parametrize("command", ["solve", "bench"])
-def test_cli_rejects_names_outside_the_grammar(command, name, capsys):
+def test_cli_rejects_names_outside_the_grammar(command, name, tmp_path, capsys):
     game_file = str(DATA / "scc_k1.pg")
+    out = tmp_path / "t.csv"
     argv = {
         "solve": ["solve", "--in", game_file, "--variant", name],
-        "bench": ["bench", "--family", "core", "--k-min", "1", "--k-max", "1", "--variants", name],
+        "bench": ["bench", "--family", "core", "--k-min", "1", "--k-max", "1",
+                  "--variants", name, "--csv", str(out)],
     }[command]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--family", "core", "--k", "1"]])
+def test_python_m_paritylab_runs_the_cli(argv, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "paritylab", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    if argv[0] == "gen":
+        assert done.stdout == write_pgsolver(gen_core(1))
 
 
 def test_cli_bench_rejects_bad_range(capsys):

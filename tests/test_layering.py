@@ -15,6 +15,7 @@ ALLOWED = {
     "solver": {"core"},
     "analyzer": {"core", "families", "report", "solver"},
     "harness": {"analyzer", "core", "families", "solver"},
+    "__main__": {"harness"},
 }
 
 

@@ -1,0 +1,515 @@
+/* The bounded dominion search of solver.py (``_search_py``), compiled.
+ *
+ * One function, ``search(arena, alive, seed, p, budget)``, returns the
+ * same ``(result, touched, probes)`` as ``_search_py``: the closure found
+ * (or None), the touched mask and the number of probes.  Masks are
+ * W-word bitsets with W = ceil(n / 64).  The arena is the bytes object
+ * ``solver._pack`` builds once per game, native int32s:
+ *
+ *     n, m, off[n + 1], tgt[m], rank[n], par[n], own[n]
+ *
+ * the successor lists in game order (CSR), each position's index in
+ * ``priority_levels`` (a lower rank is a higher priority), the parity of
+ * its priority and its owner.  No per-position mask is packed.
+ *
+ * The recursion of ``_grow`` runs on an explicit stack of frames, one per
+ * branch, so its depth is bounded by memory, not by the C stack.  An
+ * edge of the chosen-move graph is one int per position: none, every
+ * alive successor (a forced opponent position) or the one successor
+ * chosen at a branch.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef uint64_t word;
+
+#define EDGE_NONE (-1)
+#define EDGE_ALL (-2)
+#define HAS(m, v) ((m)[(v) >> 6] >> ((v) & 63) & 1)
+#define ADD(m, v) ((m)[(v) >> 6] |= (word)1 << ((v) & 63))
+
+typedef struct {
+    int32_t n;
+    const int32_t *off, *tgt, *rank, *par, *own;
+} Arena;
+
+/* one probe on the stack: its members, processed and committed masks,
+ * its branch position and the next successor of it to try, and the
+ * height of the undo stack when it was entered */
+typedef struct {
+    word *mem, *proc, *com;
+    int32_t u, next;
+    Py_ssize_t undo_base;
+} Frame;
+
+typedef struct {
+    Arena a;
+    Py_ssize_t W;
+    int p;
+    int32_t seed;
+    long long budget;
+    word *alive, *opp, *touched, *seen;
+    int32_t *edge, *undo, *queue;
+    Py_ssize_t nundo;
+    Frame *frames;
+    Py_ssize_t nframes, cap;
+    long long probes;
+} Search;
+
+static int
+any_below(const word *m, int32_t v)
+{
+    /* whether m has a bit below v */
+    Py_ssize_t i;
+    for (i = 0; i < (v >> 6); i++)
+        if (m[i])
+            return 1;
+    return (m[v >> 6] & (((word)1 << (v & 63)) - 1)) != 0;
+}
+
+static long long
+count(const word *m, Py_ssize_t W)
+{
+    long long c = 0;
+    Py_ssize_t i;
+    for (i = 0; i < W; i++)
+        c += __builtin_popcountll(m[i]);
+    return c;
+}
+
+static int32_t
+lowest(const word *a, const word *not_b, const word *c, Py_ssize_t W)
+{
+    /* the lowest bit of a & ~not_b & c (c may be NULL), or -1 */
+    Py_ssize_t i;
+    for (i = 0; i < W; i++) {
+        word x = a[i] & ~not_b[i];
+        if (c)
+            x &= c[i];
+        if (x)
+            return (int32_t)(i * 64 + __builtin_ctzll(x));
+    }
+    return -1;
+}
+
+static int
+over(const Search *S, const word *com)
+{
+    /* the prune on committed: a forbidden position, or over budget */
+    return any_below(com, S->seed) || count(com, S->W) > S->budget;
+}
+
+static void
+pull(Search *S, int32_t s, word *com)
+{
+    /* an opponent position joins: read its successors */
+    const Arena *a = &S->a;
+    int32_t k;
+    for (k = a->off[s]; k < a->off[s + 1]; k++) {
+        int32_t x = a->tgt[k];
+        ADD(S->touched, x);
+        if (HAS(S->alive, x))
+            ADD(com, x);
+    }
+}
+
+static int
+has_edge(const Search *S, int32_t s, int32_t u)
+{
+    /* whether the chosen-move graph has the edge s -> u */
+    const Arena *a = &S->a;
+    int32_t e = S->edge[s], k;
+    if (e != EDGE_ALL)
+        return e == u;
+    if (!HAS(S->alive, u))
+        return 0;
+    for (k = a->off[s]; k < a->off[s + 1]; k++)
+        if (a->tgt[k] == u)
+            return 1;
+    return 0;
+}
+
+static int
+bad_target(const Search *S, int32_t u, int32_t s)
+{
+    /* _bad_targets for one target s of u: the edge u -> s closes a
+     * self-loop or a 2-cycle whose maximum has the opponent's parity */
+    const Arena *a = &S->a;
+    if (s == u)
+        return a->par[u] != S->p;
+    if (!has_edge(S, s, u))
+        return 0;
+    return (a->rank[u] <= a->rank[s] ? a->par[u] : a->par[s]) != S->p;
+}
+
+static int
+reaches_self(Search *S, const word *mem, int32_t x)
+{
+    /* whether x reaches itself along the chosen moves through members
+     * of priority at most x's */
+    const Arena *a = &S->a;
+    int32_t r = a->rank[x], head = 0, tail = 0;
+    memset(S->seen, 0, S->W * sizeof(word));
+    S->queue[tail++] = x;
+    while (head < tail) {
+        int32_t v = S->queue[head++], e = S->edge[v], k, lo, hi;
+        if (e == EDGE_ALL) {
+            lo = a->off[v];
+            hi = a->off[v + 1];
+        }
+        else {
+            lo = 0;
+            hi = 1;
+        }
+        for (k = lo; k < hi; k++) {
+            int32_t t = e == EDGE_ALL ? a->tgt[k] : e;
+            if (t < 0 || !HAS(mem, t) || a->rank[t] < r || (e == EDGE_ALL && !HAS(S->alive, t)))
+                continue;
+            if (t == x)
+                return 1;
+            if (!HAS(S->seen, t)) {
+                ADD(S->seen, t);
+                S->queue[tail++] = t;
+            }
+        }
+    }
+    return 0;
+}
+
+static int
+certified(Search *S, const word *mem)
+{
+    /* no cycle of the chosen-move graph on mem has a maximum of the
+     * opponent's parity (core._cycle_heads finds no head) */
+    Py_ssize_t i;
+    for (i = 0; i < S->W; i++) {
+        word m = mem[i];
+        while (m) {
+            int32_t x = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+            if (S->a.par[x] != S->p && reaches_self(S, mem, x))
+                return 0;
+        }
+    }
+    return 1;
+}
+
+static Frame *
+push(Search *S)
+{
+    /* the next frame, its masks allocated on first use; NULL when out of memory */
+    Frame *f;
+    if (S->nframes == S->cap) {
+        Py_ssize_t cap = S->cap ? 2 * S->cap : 8;
+        Frame *grown = realloc(S->frames, cap * sizeof(Frame));
+        if (!grown)
+            return NULL;
+        memset(grown + S->cap, 0, (cap - S->cap) * sizeof(Frame));
+        S->frames = grown;
+        S->cap = cap;
+    }
+    f = &S->frames[S->nframes];
+    if (!f->mem) {
+        f->mem = malloc(3 * S->W * sizeof(word));
+        if (!f->mem)
+            return NULL;
+        f->proc = f->mem + S->W;
+        f->com = f->proc + S->W;
+    }
+    S->nframes++;
+    return f;
+}
+
+static int
+enter(Search *S, Frame *f)
+{
+    /* one _grow entry: force every opponent member, lowest bit first,
+     * then set up the branch on the lowest unprocessed member.  Returns
+     * 1 when f's members are a certified closure, 0 when a branch is
+     * set up (f->u >= 0) or the probe is dead (f->u < 0) */
+    const Arena *a = &S->a;
+    int32_t u, k;
+    S->probes++;
+    f->undo_base = S->nundo;
+    f->u = -1;
+    while ((u = lowest(f->mem, f->proc, S->opp, S->W)) >= 0) {
+        for (k = a->off[u]; k < a->off[u + 1]; k++)
+            if (HAS(S->alive, a->tgt[k]) && bad_target(S, u, a->tgt[k]))
+                return 0;
+        for (k = a->off[u]; k < a->off[u + 1]; k++) {
+            int32_t s = a->tgt[k];
+            if (HAS(S->alive, s) && !HAS(f->mem, s)) {
+                ADD(f->mem, s);
+                if (HAS(S->opp, s))
+                    pull(S, s, f->com);
+            }
+        }
+        ADD(f->proc, u);
+        S->edge[u] = EDGE_ALL;
+        S->undo[S->nundo++] = u;
+        if (over(S, f->com))
+            return 0;
+    }
+    u = lowest(f->mem, f->proc, NULL, S->W);
+    if (u < 0)
+        return certified(S, f->mem);
+    for (k = a->off[u]; k < a->off[u + 1]; k++)
+        ADD(S->touched, a->tgt[k]);
+    f->u = u;
+    f->next = a->off[u];
+    return 0;
+}
+
+static int
+next_child(Search *S, Py_ssize_t d)
+{
+    /* set up frame d + 1 for the next viable successor of frame d's
+     * branch position, in successor-list order.  Returns 1 when set up,
+     * 0 when none is left, -1 when out of memory */
+    const Arena *a = &S->a;
+    Frame *f = &S->frames[d], *c;
+    int32_t u = f->u;
+    Py_ssize_t W = S->W;
+    while (f->next < a->off[u + 1]) {
+        int32_t s = a->tgt[f->next++];
+        if (!HAS(S->alive, s) || s < S->seed || bad_target(S, u, s))
+            continue;
+        c = push(S);
+        if (!c)
+            return -1;
+        f = &S->frames[d]; /* push may move the frames */
+        memcpy(c->com, f->com, W * sizeof(word));
+        ADD(c->com, s);
+        if (!HAS(f->mem, s) && HAS(S->opp, s))
+            pull(S, s, c->com);
+        if (over(S, c->com)) {
+            S->nframes--;
+            continue;
+        }
+        memcpy(c->mem, f->mem, 2 * W * sizeof(word));
+        ADD(c->mem, s);
+        ADD(c->proc, u);
+        S->edge[u] = s;
+        return 1;
+    }
+    return 0;
+}
+
+static int
+run(Search *S)
+{
+    /* the search from frame 0; returns 1 when found (the result is the
+     * top frame's members), 0 when not, -1 when out of memory */
+    for (;;) {
+        Frame *f = &S->frames[S->nframes - 1];
+        int r;
+        if (enter(S, f))
+            return 1;
+        r = f->u >= 0 ? next_child(S, S->nframes - 1) : 0;
+        while (r == 0) {
+            /* leave the top frame: undo its forced edges, resume its parent */
+            f = &S->frames[S->nframes - 1];
+            while (S->nundo > f->undo_base)
+                S->edge[S->undo[--S->nundo]] = EDGE_NONE;
+            if (--S->nframes == 0)
+                return 0;
+            f = &S->frames[S->nframes - 1];
+            S->edge[f->u] = EDGE_NONE;
+            r = next_child(S, S->nframes - 1);
+        }
+        if (r < 0)
+            return -1;
+    }
+}
+
+static int
+to_words(PyObject *v, word *out, Py_ssize_t W)
+{
+    /* the low 64 W bits of a non-negative int; a negative one raises
+     * OverflowError */
+    Py_ssize_t nbytes, i;
+    unsigned char *buf;
+    int rc;
+    if (!PyLong_Check(v)) {
+        PyErr_SetString(PyExc_TypeError, "alive must be an int");
+        return -1;
+    }
+    nbytes = (Py_ssize_t)((_PyLong_NumBits(v) + 7) / 8);
+    if (nbytes < W * 8)
+        nbytes = W * 8;
+    buf = malloc(nbytes);
+    if (!buf) {
+        PyErr_NoMemory();
+        return -1;
+    }
+#if PY_VERSION_HEX >= 0x030D0000
+    rc = _PyLong_AsByteArray((PyLongObject *)v, buf, nbytes, 1, 0, 1);
+#else
+    rc = _PyLong_AsByteArray((PyLongObject *)v, buf, nbytes, 1, 0);
+#endif
+    if (rc == 0)
+        for (i = 0; i < W * 8; i++) {
+            if (i % 8 == 0)
+                out[i / 8] = 0;
+            out[i / 8] |= (word)buf[i] << (8 * (i % 8));
+        }
+    free(buf);
+    return rc;
+}
+
+static PyObject *
+from_words(const word *m, Py_ssize_t W)
+{
+    unsigned char *buf = malloc(W * 8 + 1);
+    PyObject *v;
+    Py_ssize_t i;
+    if (!buf)
+        return PyErr_NoMemory();
+    for (i = 0; i < W * 8; i++)
+        buf[i] = (unsigned char)(m[i / 8] >> (8 * (i % 8)));
+    v = _PyLong_FromByteArray(buf, W * 8, 1, 0);
+    free(buf);
+    return v;
+}
+
+static int
+unpack(PyObject *packed, Arena *a)
+{
+    char *data;
+    Py_ssize_t len, n, m;
+    const int32_t *w;
+    if (PyBytes_AsStringAndSize(packed, &data, &len) < 0)
+        return -1;
+    w = (const int32_t *)data;
+    if (len < 8 || (n = w[0]) < 1 || (m = w[1]) < 0
+        || len != (Py_ssize_t)sizeof(int32_t) * (2 + (n + 1) + m + 3 * n)) {
+        PyErr_SetString(PyExc_ValueError, "malformed packed arena");
+        return -1;
+    }
+    a->n = (int32_t)n;
+    a->off = w + 2;
+    a->tgt = a->off + n + 1;
+    a->rank = a->tgt + m;
+    a->par = a->rank + n;
+    a->own = a->par + n;
+    return 0;
+}
+
+static void
+release(Search *S)
+{
+    Py_ssize_t i;
+    for (i = 0; i < S->cap; i++)
+        free(S->frames[i].mem);
+    free(S->frames);
+    free(S->alive);
+    free(S->edge);
+}
+
+static PyObject *
+search(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *packed, *alive, *budget, *res = NULL, *touched = NULL, *out = NULL;
+    Search S;
+    Frame *f;
+    Py_ssize_t W;
+    int32_t v, seed, n;
+    int p, overflow, found;
+    if (!PyArg_ParseTuple(args, "SOiiO", &packed, &alive, &seed, &p, &budget))
+        return NULL;
+    memset(&S, 0, sizeof S);
+    if (unpack(packed, &S.a) < 0)
+        return NULL;
+    n = S.a.n;
+    if (seed < 0 || seed >= n || (p != 0 && p != 1)) {
+        PyErr_SetString(PyExc_ValueError, "seed or player out of range");
+        return NULL;
+    }
+    S.budget = PyLong_AsLongLongAndOverflow(budget, &overflow);
+    if (S.budget == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        S.budget = overflow > 0 ? n : -1;
+    S.W = W = (n + 63) / 64;
+    S.p = p;
+    S.seed = seed;
+    /* alive, opp, touched and seen, then edge, undo and queue */
+    S.alive = malloc(4 * W * sizeof(word));
+    S.edge = malloc(3 * (size_t)n * sizeof(int32_t));
+    if (!S.alive || !S.edge) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    S.opp = S.alive + W;
+    S.touched = S.opp + W;
+    S.seen = S.touched + W;
+    S.undo = S.edge + n;
+    S.queue = S.undo + n;
+    if (to_words(alive, S.alive, W) < 0)
+        goto done;
+    memset(S.touched, 0, W * sizeof(word));
+    for (v = 0; v < n; v++) {
+        S.edge[v] = EDGE_NONE;
+        if (v % 64 == 0)
+            S.opp[v / 64] = 0;
+        if (S.a.own[v] != p && HAS(S.alive, v))
+            ADD(S.opp, v);
+    }
+    ADD(S.touched, seed);
+    f = push(&S);
+    if (!f) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(f->mem, 0, 3 * W * sizeof(word));
+    ADD(f->mem, seed);
+    ADD(f->com, seed);
+    found = 0;
+    if (HAS(S.opp, seed)) {
+        pull(&S, seed, f->com);
+        if (over(&S, f->com))
+            S.nframes = 0;
+    }
+    if (S.nframes) {
+        found = run(&S);
+        if (found < 0) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    if (found)
+        res = from_words(S.frames[S.nframes - 1].mem, W);
+    else {
+        res = Py_None;
+        Py_INCREF(res);
+    }
+    touched = res ? from_words(S.touched, W) : NULL;
+    if (touched)
+        out = Py_BuildValue("(OOL)", res, touched, S.probes);
+done:
+    Py_XDECREF(res);
+    Py_XDECREF(touched);
+    release(&S);
+    return out;
+}
+
+static PyMethodDef methods[] = {
+    {"search", search, METH_VARARGS,
+     "search(arena, alive, seed, p, budget) -> (result, touched, probes), as solver._search_py"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "_kernel", "The compiled bounded dominion search.", -1, methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    return PyModule_Create(&kernel_module);
+}

@@ -73,6 +73,10 @@ class ParityGame:
 
     Successor lists keep their given order (deduplicated); that order is
     part of the deterministic behaviour of everything built on top.
+
+    ``packed`` is None until the compiled dominion search first runs on
+    the game; it then holds the arena packed for it (``solver._pack``),
+    which lives as long as the game.
     """
 
     __slots__ = (
@@ -88,6 +92,7 @@ class ParityGame:
         "labels",
         "source_ids",
         "full_mask",
+        "packed",
     )
 
     def __init__(
@@ -152,8 +157,12 @@ class ParityGame:
             self, "source_ids", tuple(int(i) for i in source_ids) if source_ids is not None else None
         )
         object.__setattr__(self, "full_mask", (1 << n) - 1)
+        object.__setattr__(self, "packed", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("ParityGame is immutable")
+
+    def __delattr__(self, name):  # pragma: no cover - defensive
         raise AttributeError("ParityGame is immutable")
 
     def __len__(self) -> int:

@@ -254,6 +254,9 @@ class FamilyIndex:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("FamilyIndex is immutable")
 
+    def __delattr__(self, name):  # pragma: no cover - defensive
+        raise AttributeError("FamilyIndex is immutable")
+
 
 def check_core_extension(game: ParityGame, k: int) -> Report:
     """Check the four conditions for a labelled game to extend the core.

@@ -17,7 +17,9 @@ more.  Three independently switchable layers wrap it:
   cycle-parity rule, ``_cycle_heads``.  One solve keeps, per seed,
   player and size bound, the last search it ran and replays it (its
   result, plus its probes on the counter) when the alive set has not
-  changed on that search's ``touched`` mask.  ``is_dominion`` certifies
+  changed on that search's ``touched`` mask.  The search runs compiled
+  (``_kernel.c``) where the system gcc can build it, with the Python
+  search as its reference and fallback.  ``is_dominion`` certifies
   a given candidate: a trap for the opponent under core's one-step
   forcing rule that a plain solve of it gives to the player.
 
@@ -30,6 +32,8 @@ only converts to ``PositionSet`` at the public boundary.
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
 from math import isqrt
 from time import perf_counter
@@ -329,7 +333,7 @@ def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional
     return found
 
 
-def _search(
+def _search_py(
     game: ParityGame,
     alive: int,
     seed: int,
@@ -361,6 +365,118 @@ def _search(
             return None, st.touched
     found = _grow(st, 1 << seed, 0, committed)
     return found, st.touched
+
+
+# ---------------------------------------------------------------------------
+# the compiled search
+#
+# ``_kernel.c`` runs ``_search_py`` on W-word bitsets and returns the same
+# result, ``touched`` mask and probe count.  It is built with the system
+# gcc on the first search of a process, never at import, and cached
+# under $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
+# ``_kernel-<sha256 of the source><extension suffix>``.  ``_kernel`` is
+# False until that first search, then the loaded module, or None when
+# the build or the load failed: one attempt per process, and
+# ``_search_py`` runs from then on.  Tests set it to None to force the
+# Python path.
+
+_kernel: object = False
+
+
+def _load_kernel() -> object:
+    global _kernel
+    _kernel = None
+    try:
+        _kernel = _kernel_module()
+    except (OSError, ImportError):
+        pass
+    return _kernel
+
+
+def _kernel_module() -> object:
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
+
+    try:
+        from _sha2 import sha256
+    except ImportError:  # before Python 3.12
+        from _sha256 import sha256
+
+    source = os.path.join(os.path.dirname(__file__), "_kernel.c")
+    with open(source, "rb") as fh:
+        digest = sha256(fh.read()).hexdigest()
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "paritylab")
+    path = os.path.join(cache, f"_kernel-{digest}{EXTENSION_SUFFIXES[0]}")
+    if not os.path.exists(path):
+        _build_kernel(source, path)
+    loader = ExtensionFileLoader("paritylab._kernel", path)
+    module = loader.create_module(ModuleSpec("paritylab._kernel", loader, origin=path))
+    loader.exec_module(module)
+    return module
+
+
+def _build_kernel(source: str, path: str) -> None:
+    # compile into a temporary file beside ``path``, move it into place,
+    # then drop the builds of other sources (``_kernel-<other hash>.*``)
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cache, name = os.path.split(path)
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", dir=cache)
+    os.close(fd)
+    try:
+        cmd = ["gcc", "-O2", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], "-o", tmp, source]
+        done = subprocess.run(cmd, capture_output=True)
+        if done.returncode:
+            raise OSError(f"gcc exited with {done.returncode}: {done.stderr.decode(errors='replace').strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    keep = name.split(".")[0]
+    for other in os.listdir(cache):
+        if other.startswith("_kernel-") and other.split(".")[0] != keep:
+            try:
+                os.unlink(os.path.join(cache, other))
+            except FileNotFoundError:  # another process removed it first
+                pass
+
+
+def _pack(game: ParityGame) -> bytes:
+    # the arena the kernel reads, native int32s kept in the game's
+    # ``packed`` slot: n, the move count, successor offsets and
+    # successors in game order, ``level_of`` ranks, priority parities
+    # and owners
+    offsets = [0]
+    targets: list[int] = []
+    for row in game.successors:
+        targets += row
+        offsets.append(len(targets))
+    words = [game.n, len(targets), *offsets, *targets, *game.level_of]
+    words += [q & 1 for q in game.priorities]
+    words += game.owners
+    packed = struct.pack(f"={len(words)}i", *words)
+    object.__setattr__(game, "packed", packed)
+    return packed
+
+
+def _search(
+    game: ParityGame,
+    alive: int,
+    seed: int,
+    p: int,
+    budget: int,
+    stats: SolveStats,
+) -> tuple[Optional[int], int]:
+    """What ``_search_py`` returns, and the probes it counts, from the
+    compiled kernel when it loads and from ``_search_py`` when not."""
+    kernel = _kernel if _kernel is not False else _load_kernel()
+    if kernel is None:
+        return _search_py(game, alive, seed, p, budget, stats)
+    found, touched, probes = kernel.search(game.packed or _pack(game), alive, seed, p, budget)
+    stats.dominion_probes += probes
+    return found, touched
 
 
 def _search_dominion(
@@ -468,11 +584,13 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     The recursion runs on an explicit stack, so its depth is bounded by
     memory rather than by the interpreter's recursion limit: each call is
     a generator that yields the alive mask of every child it needs, with
-    the child's priority cursor, and is sent back the child's ``(w0,
-    w1)`` masks.  The cursor is an index into ``priority_levels`` before
-    which no level meets the child: the left child starts below the
-    level just removed, the right child at it, and the others at their
-    parent's.
+    the child's priority cursor and whether the child is known to be
+    strongly connected, and is sent back the child's ``(w0, w1)`` masks.
+    The cursor is an index into ``priority_levels`` before which no level
+    meets the child: the left child starts below the level just removed,
+    the right child at it, and the others at their parent's.  A child
+    known to be strongly connected, a component from the SCC split,
+    skips its own SCC check, which would give it back unchanged.
     """
     game = g.game
     succ_masks = game.succ_masks
@@ -488,18 +606,21 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     # the dominion searches already run, for replaying (see _find_dominion_mask)
     record: dict[int, tuple[int, int, Optional[int], int]] = {}
 
-    def call(alive: int, lo: int) -> Generator[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    def call(
+        alive: int, lo: int, strong: bool
+    ) -> Generator[tuple[int, int, bool], tuple[int, int], tuple[int, int]]:
         # one call on a non-empty alive set that no priority level before
-        # ``lo`` meets; it yields each child with the child's own cursor
+        # ``lo`` meets, strongly connected if ``strong``; it yields each
+        # child with the child's own cursor and strength
         if dom_on:
             bound = default_dominion_bound(alive.bit_count())
             found = _find_dominion_mask(game, alive, bound, (0, 1), stats, record)
             if found is not None:
                 d, p = found
                 a = _attractor_mask(game, alive, d, p)
-                r0, r1 = yield alive & ~a, lo
+                r0, r1 = yield alive & ~a, lo, False
                 return (r0 | a, r1) if p == 0 else (r0, r1 | a)
-        if scc_on:
+        if scc_on and not strong:
             comp = _first_scc(game, alive)
             if comp != alive:
                 # solve a terminal component, attract both of its regions
@@ -507,7 +628,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 rem = alive
                 w0 = w1 = 0
                 while True:
-                    c0, c1 = yield comp, lo
+                    c0, c1 = yield comp, lo, True
                     a0 = _attractor_mask(game, rem, c0, 0) if c0 else 0
                     rem &= ~a0
                     a1 = _attractor_mask(game, rem, c1, 1) if c1 else 0
@@ -520,7 +641,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
         pr, holders, i = _max_priority_mask(game, alive, lo)
         p = pr & 1
         a = _attractor_mask(game, alive, holders, p)
-        l0, l1 = yield alive & ~a, i + 1
+        l0, l1 = yield alive & ~a, i + 1, False
         w_opp = l1 if p == 0 else l0
         if w_opp:
             # w_opp is a trap for p in alive & ~a, so whatever joins its
@@ -541,13 +662,14 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
         if b == w_opp:
             wp = alive & ~w_opp
             return (wp, w_opp) if p == 0 else (w_opp, wp)
-        r0, r1 = yield alive & ~b, i
+        r0, r1 = yield alive & ~b, i, False
         wp = r0 if p == 0 else r1
         return (wp, alive & ~wp) if p == 0 else (alive & ~wp, wp)
 
-    frames: list[Generator[tuple[int, int], tuple[int, int], tuple[int, int]]] = []
+    frames: list[Generator[tuple[int, int, bool], tuple[int, int], tuple[int, int]]] = []
     child = g.alive.mask
     lo = 0
+    strong = False
     t0 = perf_counter()
     try:
         while True:
@@ -561,7 +683,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
             if result is not None:
                 stats.memo_hits += 1
             elif child:
-                frames.append(call(child, lo))
+                frames.append(call(child, lo, strong))
             else:
                 result = (0, 0)
                 if memo:
@@ -570,7 +692,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
             # finished call's result to the frame below
             while frames:
                 try:
-                    child, lo = frames[-1].send(result)
+                    child, lo, strong = frames[-1].send(result)
                     break
                 except StopIteration as done:
                     frames.pop()

@@ -87,6 +87,12 @@ def test_game_is_immutable():
     g = mk(*TRIANGLE)
     with pytest.raises(AttributeError):
         g.n = 5
+    for attr in ("n", "packed"):
+        with pytest.raises(AttributeError, match="ParityGame is immutable"):
+            delattr(g, attr)
+    with pytest.raises(AttributeError):
+        g.packed = b""
+    assert len(g) == 3 and g.packed is None
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,16 @@ def test_family_index_masks(scc1):
     assert len(idx.delta) == 5  # pairs (0,1)x2, (0,2), (1,2)x2
 
 
+def test_family_index_is_immutable(core1):
+    idx = FamilyIndex(core1)
+    gamma = idx.gamma
+    with pytest.raises(AttributeError, match="FamilyIndex is immutable"):
+        idx.gamma = {}
+    with pytest.raises(AttributeError, match="FamilyIndex is immutable"):
+        del idx.gamma
+    assert idx.gamma is gamma
+
+
 def test_check_core_extension_accepts_families():
     for k in (1, 2, 3):
         assert check_core_extension(gen_core(k), k).passed

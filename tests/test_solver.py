@@ -1,7 +1,14 @@
 """Recursive solver, its enhancement layers and the bounded dominion search."""
 
 import itertools
+import json
+import os
+import random
+import shutil
+import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +117,20 @@ def test_scc_split_disjoint_loops():
     g = mk([0, 1], [0, 1], [[0], [1]])
     comps = scc_split(Subgame.whole(g))
     assert sorted(c.mask for c in comps) == [0b01, 0b10]
+
+
+def test_component_children_skip_their_scc_check(monkeypatch):
+    # m disjoint 2-cycles: each component the split yields is strongly
+    # connected already, so only the split itself runs the check
+    m = 5
+    g = mk([v % 2 for v in range(2 * m)], list(range(2 * m)), [[v ^ 1] for v in range(2 * m)])
+    runs = []
+    check = solver._first_scc
+    monkeypatch.setattr(solver, "_first_scc", lambda game, alive: runs.append(alive) or check(game, alive))
+    regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
+    assert len(runs) == m
+    assert (stats.total_calls, stats.distinct_subgames) == (11, 7)
+    assert regions.of(1).mask == g.full_mask
 
 
 def test_scc_split_on_recursion_remainder(core1):
@@ -407,3 +428,159 @@ def test_found_dominions_are_traps_the_oracle_agrees_on(n, seed, bound, players)
     assert len(d) <= bound  # so within the oracle's 12 positions
     assert is_dominion(sub, d, p)
     assert oracle_solve(Subgame(g, d)).of(p) == d
+
+
+# ---------------------------------------------------------------------------
+# the compiled search against ``_search_py``
+
+
+def _compiled():
+    # the kernel as the solver loads it; without one there is nothing to compare
+    kernel = solver._kernel if solver._kernel is not False else solver._load_kernel()
+    if kernel is None:
+        pytest.skip("the compiled search did not build or load here")
+    return kernel
+
+
+def _agree(kernel, g, alive, seed, p, budget):
+    stats = SolveStats()
+    found, touched = solver._search_py(g, alive, seed, p, budget, stats)
+    assert kernel.search(g.packed or solver._pack(g), alive, seed, p, budget) == (
+        found,
+        touched,
+        stats.dominion_probes,
+    ), (alive, seed, p, budget)
+
+
+def test_the_kernel_builds_where_gcc_runs():
+    # where the build can work, a failure must not hide behind the fallback
+    include = Path(sysconfig.get_paths()["include"], "Python.h")
+    if shutil.which("gcc") is None or not include.is_file():
+        pytest.skip("no gcc or no Python headers here")
+    assert _compiled() is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 10_000), st.integers(1, 8), st.data())
+def test_kernel_matches_the_python_search(n, game_seed, budget, data):
+    # every alive seed and both players, on alive sets that need not be
+    # left-total, over masks that cross word boundaries
+    kernel = _compiled()
+    g = gen_random(n, game_seed)
+    alive = data.draw(st.integers(1, g.full_mask))
+    for seed in range(n):
+        if alive >> seed & 1:
+            for p in (0, 1):
+                _agree(kernel, g, alive, seed, p, budget)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_kernel_matches_at_word_edges_with_huge_priorities(n):
+    # priorities past 2**64 reach the kernel only as ranks and parities;
+    # every third position's only move is a self-loop
+    kernel = _compiled()
+    rng = random.Random(n)
+    owners = [rng.randrange(2) for _ in range(n)]
+    priorities = [2**64 + rng.randrange(2 * n) for _ in range(n)]
+    successors = [[v] if v % 3 == 0 else rng.sample(range(n), min(n, 3)) for v in range(n)]
+    g = ParityGame(owners, priorities, successors)
+    for alive in (g.full_mask, rng.randint(1, g.full_mask)):
+        for seed in range(n):
+            if alive >> seed & 1:
+                for p in (0, 1):
+                    for budget in (1, 3, 6):
+                        _agree(kernel, g, alive, seed, p, budget)
+
+
+_GRID = json.loads((Path(__file__).parent / "data" / "grid_counters.json").read_text())
+
+
+@pytest.mark.parametrize("cell", list(_GRID))
+def test_kernel_solves_the_grid_like_the_python_path(cell, monkeypatch):
+    # all eight layer mixes: the same regions and every counter
+    _compiled()
+    family, k = cell.split(" k=")
+    g = {"core": gen_core, "scc": gen_scc}[family](int(k))
+    sub = Subgame.whole(g)
+
+    def run(cfg):
+        regions, stats = solve(sub, cfg)
+        return regions, [
+            stats.total_calls,
+            stats.distinct_subgames,
+            stats.memo_hits,
+            stats.max_depth,
+            stats.dominion_probes,
+            stats.dominion_replays,
+        ]
+
+    mixes = [SolverConfig(*mix) for mix in itertools.product((False, True), repeat=3)]
+    compiled = [run(cfg) for cfg in mixes]
+    monkeypatch.setattr(solver, "_kernel", None)
+    assert compiled == [run(cfg) for cfg in mixes]
+
+
+def _count_builds(monkeypatch):
+    # every compiler run: the build imports ``subprocess`` and calls its ``run``
+    runs = []
+    real = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda cmd, **kw: runs.append(cmd) or real(cmd, **kw))
+    return runs
+
+
+def test_without_a_compiler_the_python_search_runs(monkeypatch, tmp_path):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("PATH", str(tmp_path / "no-gcc-here"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(solver, "_kernel", False)
+    builds = _count_builds(monkeypatch)
+    for k in (1, 2, 3):
+        g = gen_scc(k)
+        regions, s = solve(Subgame.whole(g), VARIANTS["memo+scc+dom"])
+        assert regions.of(0).mask == g.full_mask
+        counters = [s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth, s.dominion_probes]
+        assert counters == _GRID[f"scc k={k}"]["memo+scc+dom"]
+    assert len(builds) == 1
+    assert solver._kernel is None
+    assert [f for f in cache.rglob("*") if f.is_file()] == []
+
+
+def test_the_build_is_cached_per_source(monkeypatch, tmp_path):
+    _compiled()
+    cache = tmp_path / "paritylab"
+    cache.mkdir()
+    stale = cache / "_kernel-0000.so"
+    stale.write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(solver, "_kernel", False)
+    builds = _count_builds(monkeypatch)
+    assert solver._load_kernel() is not None
+    built = sorted(f.name for f in cache.iterdir())
+    assert len(builds) == 1 and len(built) == 1 and built[0].startswith("_kernel-")
+    monkeypatch.setattr(solver, "_kernel", False)
+    assert solver._load_kernel() is not None
+    assert len(builds) == 1
+    assert sorted(f.name for f in cache.iterdir()) == built
+
+
+def _fresh(code, cache):
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=str(Path(solver.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    return out.stdout.split()
+
+
+def test_import_builds_and_loads_nothing(tmp_path):
+    code = "import sys, paritylab; print(paritylab.solver._kernel is False, 'paritylab._kernel' in sys.modules)"
+    assert _fresh(code, tmp_path) == ["True", "False"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_loading_the_kernel_imports_no_ctypes_or_hashlib(tmp_path):
+    _compiled()
+    code = (
+        "import sys, paritylab as pl; pl.solve(pl.Subgame.whole(pl.gen_scc(1)), pl.VARIANTS['memo+scc+dom']); "
+        "print(pl.solver._kernel is not None, *(m in sys.modules for m in ('ctypes', 'hashlib')))"
+    )
+    _fresh(code, tmp_path)  # builds
+    assert _fresh(code, tmp_path) == ["True", "False", "False"]

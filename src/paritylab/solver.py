@@ -13,15 +13,18 @@ more.  Three independently switchable layers wrap it:
   sweeps, with a lowlink-free depth-first search only as a fallback;
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
-  anything else.  Each completed candidate is certified by core's
-  cycle-parity rule, ``_cycle_heads``.  One solve keeps, per seed,
-  player and size bound, the last search it ran and replays it (its
-  result, plus its probes on the counter) when the alive set has not
-  changed on that search's ``touched`` mask.  The search runs compiled
-  (``_kernel.c``) where the system gcc can build it, with the Python
-  search as its reference and fallback.  ``is_dominion`` certifies
-  a given candidate: a trap for the opponent under core's one-step
-  forcing rule that a plain solve of it gives to the player.
+  anything else.  The search keeps its branch points on an explicit
+  list, so its depth is bounded by memory, and every probe starts from
+  the invariant stated in the bounded-search comment block.  Each
+  completed candidate is certified by core's cycle-parity rule,
+  ``_cycle_heads``.  One solve keeps, per seed, player and size bound,
+  the last search it ran and replays it (its result, plus its probes on
+  the counter) when the alive set has not changed on that search's
+  ``touched`` mask.  The search runs compiled (``_kernel.c``) where the
+  system gcc can build it, with the Python search as its reference and
+  fallback.  ``is_dominion`` certifies a given candidate: a trap for the
+  opponent under core's one-step forcing rule that a plain solve of it
+  gives to the player.
 
 None of the layers ever changes the returned regions, only the shape and
 amount of work, which the returned ``SolveStats`` makes observable.
@@ -37,7 +40,7 @@ import struct
 from dataclasses import dataclass
 from math import isqrt
 from time import perf_counter
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional
 
 from .core import (
     EmptyGame,
@@ -209,33 +212,12 @@ def scc_split(g: Subgame) -> list[PositionSet]:
 # search is complete because the closure following a winning strategy
 # never trips a prune.
 #
-# Invariant at every ``_grow`` entry: ``committed`` holds the members
-# plus the alive successors of every opponent member, the search's
-# ``touched`` (with what the probes below on the stack add on return)
+# Invariant at the start of every probe: ``committed`` holds the members
+# plus the alive successors of every opponent member, ``touched``
 # already holds those successors' masks, and ``committed`` has no
 # forbidden position (below the seed) and fits the budget.  So forcing
 # an opponent member adds nothing to ``committed`` or ``touched`` but
 # the successors of the opponent members it pulls in.
-
-
-class _Search:
-    # what the probes of one search share; ``touched`` grows as they run
-    __slots__ = (
-        "game", "alive", "p", "budget", "forbidden", "opp_mask", "edge", "stats", "touched",
-    )
-
-    def __init__(
-        self, game: ParityGame, alive: int, seed: int, p: int, budget: int, stats: SolveStats
-    ) -> None:
-        self.game = game
-        self.alive = alive
-        self.p = p
-        self.budget = budget
-        self.forbidden = (1 << seed) - 1
-        self.opp_mask = game.owner_masks[1 - p] & alive
-        self.edge: dict[int, int] = {}
-        self.stats = stats
-        self.touched = 1 << seed
 
 
 def _bad_targets(prs: tuple[int, ...], p: int, edge: dict[int, int], u: int, targets: int) -> int:
@@ -256,93 +238,9 @@ def _bad_targets(prs: tuple[int, ...], p: int, edge: dict[int, int], u: int, tar
     return bad
 
 
-def _grow(st: _Search, members: int, processed: int, committed: int) -> Optional[int]:
-    # one probe: force every opponent member, then branch on the lowest
-    # unprocessed member, which belongs to the searched player
-    st.stats.dominion_probes += 1
-    game = st.game
-    prs = game.priorities
-    succ_masks = game.succ_masks
-    alive = st.alive
-    p = st.p
-    budget = st.budget
-    forbidden = st.forbidden
-    opp_mask = st.opp_mask
-    edge = st.edge
-    touched = 0
-    found = None
-    mine: list[int] = []
-    viable = True
-    while viable:
-        forced = members & ~processed & opp_mask
-        if not forced:
-            break
-        low = forced & -forced
-        u = low.bit_length() - 1
-        t = succ_masks[u] & alive
-        if _bad_targets(prs, p, edge, u, t):
-            viable = False
-            break
-        fresh = t & ~members
-        members |= t
-        processed |= low
-        edge[u] = t
-        mine.append(u)
-        nb = fresh & opp_mask
-        while nb:
-            l2 = nb & -nb
-            sm = succ_masks[l2.bit_length() - 1]
-            touched |= sm
-            committed |= sm & alive
-            nb ^= l2
-        if committed & forbidden or committed.bit_count() > budget:
-            viable = False
-    if viable:
-        unproc = members & ~processed
-        if not unproc:
-            if not _cycle_heads(prs, edge, members, 1 - p):
-                found = members
-        else:
-            low = unproc & -unproc
-            u = low.bit_length() - 1
-            touched |= succ_masks[u]
-            nproc = processed | low
-            # ``edge`` is restored after every probe below, so one prune
-            # call serves the whole loop
-            ok = succ_masks[u] & alive & ~forbidden
-            ok &= ~_bad_targets(prs, p, edge, u, ok)
-            for s in game.successors[u]:
-                t = 1 << s
-                if not ok & t:
-                    continue
-                ncom = committed | t
-                if t & ~members and t & opp_mask:
-                    sm = succ_masks[s]
-                    touched |= sm
-                    ncom |= sm & alive
-                if ncom & forbidden or ncom.bit_count() > budget:
-                    continue
-                edge[u] = t
-                found = _grow(st, members | t, nproc, ncom)
-                del edge[u]
-                if found is not None:
-                    break
-    for x in mine:
-        del edge[x]
-    st.touched |= touched
-    return found
-
-
-def _search_py(
-    game: ParityGame,
-    alive: int,
-    seed: int,
-    p: int,
-    budget: int,
-    stats: SolveStats,
-) -> tuple[Optional[int], int]:
+def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> tuple[Optional[int], int, int]:
     """First closure of size <= budget whose minimum member is ``seed``,
-    and the search's ``touched`` mask.
+    the search's ``touched`` mask and its probe count.
 
     Restricting each seed to sets it is the minimum of partitions the
     candidate space, so enumerating seeds in ascending order never
@@ -355,16 +253,82 @@ def _search_py(
     ``alive`` the search reads lies in ``touched``, so its result and
     probe count are fixed by ``(seed, p, budget)`` and ``alive & touched``.
     """
-    st = _Search(game, alive, seed, p, budget, stats)
-    committed = 1 << seed
-    if committed & st.opp_mask:
-        sm = game.succ_masks[seed]
-        st.touched |= sm
+    prs = game.priorities
+    succ_masks = game.succ_masks
+    forbidden = (1 << seed) - 1
+    opp_mask = game.owner_masks[1 - p] & alive
+    touched = members = committed = 1 << seed
+    if members & opp_mask:
+        sm = succ_masks[seed]
+        touched |= sm
         committed |= sm & alive
-        if committed & st.forbidden or committed.bit_count() > budget:
-            return None, st.touched
-    found = _grow(st, 1 << seed, 0, committed)
-    return found, st.touched
+        if committed & forbidden or committed.bit_count() > budget:
+            return None, touched, 0
+    probes = 0
+    # the branch points on the current path, each with its position, its
+    # successors not yet tried, the mask of allowed ones, and its probe's
+    # members, processed positions (itself included), committed positions
+    # and chosen moves.  A child probe gets its own copy of the chosen
+    # moves, at most ``budget`` entries since they are members, so going
+    # back up undoes nothing.
+    path: list[tuple[int, Iterator[int], int, int, int, int, dict[int, int]]] = []
+    probe: Optional[tuple[int, int, int, dict[int, int]]] = (members, 0, committed, {})
+    while probe:
+        # one probe: force every opponent member, then branch on the
+        # lowest unprocessed member, which belongs to the searched player
+        members, processed, committed, edge = probe
+        probes += 1
+        while forced := members & ~processed & opp_mask:
+            low = forced & -forced
+            u = low.bit_length() - 1
+            t = succ_masks[u] & alive
+            if _bad_targets(prs, p, edge, u, t):
+                break
+            fresh = t & ~members
+            members |= t
+            processed |= low
+            edge[u] = t
+            nb = fresh & opp_mask
+            while nb:
+                l2 = nb & -nb
+                sm = succ_masks[l2.bit_length() - 1]
+                touched |= sm
+                committed |= sm & alive
+                nb ^= l2
+            if committed & forbidden or committed.bit_count() > budget:
+                break
+        else:
+            unproc = members & ~processed
+            if not unproc:
+                if not _cycle_heads(prs, edge, members, 1 - p):
+                    return members, touched, probes
+            else:
+                low = unproc & -unproc
+                u = low.bit_length() - 1
+                touched |= succ_masks[u]
+                ok = succ_masks[u] & alive & ~forbidden
+                ok &= ~_bad_targets(prs, p, edge, u, ok)
+                path.append((u, iter(game.successors[u]), ok, members, processed | low, committed, edge))
+        # the next child of the deepest branch point that has one left
+        probe = None
+        while path and not probe:
+            u, succs, ok, members, processed, committed, edge = path[-1]
+            for s in succs:
+                t = 1 << s
+                if not ok & t:
+                    continue
+                ncom = committed | t
+                if t & ~members and t & opp_mask:
+                    sm = succ_masks[s]
+                    touched |= sm
+                    ncom |= sm & alive
+                if ncom & forbidden or ncom.bit_count() > budget:
+                    continue
+                probe = members | t, processed, ncom, {**edge, u: t}
+                break
+            else:
+                path.pop()
+    return None, touched, probes
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +433,14 @@ def _search(
     budget: int,
     stats: SolveStats,
 ) -> tuple[Optional[int], int]:
-    """What ``_search_py`` returns, and the probes it counts, from the
-    compiled kernel when it loads and from ``_search_py`` when not."""
+    """The closure and ``touched`` mask ``_search_py`` returns, with its
+    probes added to ``stats``, from the compiled kernel when it loads and
+    from ``_search_py`` when not."""
     kernel = _kernel if _kernel is not False else _load_kernel()
     if kernel is None:
-        return _search_py(game, alive, seed, p, budget, stats)
-    found, touched, probes = kernel.search(game.packed or _pack(game), alive, seed, p, budget)
+        found, touched, probes = _search_py(game, alive, seed, p, budget)
+    else:
+        found, touched, probes = kernel.search(game.packed or _pack(game), alive, seed, p, budget)
     stats.dominion_probes += probes
     return found, touched
 
@@ -526,6 +492,11 @@ def _find_dominion_mask(
     return None
 
 
+def _require_player(p: Player | int) -> None:
+    if p not in (0, 1):
+        raise ValueError(f"player must be 0 or 1, got {p!r}")
+
+
 def find_dominion(
     g: Subgame,
     max_size: int,
@@ -540,6 +511,8 @@ def find_dominion(
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
+    for p in players:
+        _require_player(p)
     if stats is None:
         stats = SolveStats()
     found = _find_dominion_mask(g.game, g.alive.mask, max_size, players, stats, {})
@@ -558,6 +531,7 @@ def is_dominion(g: Subgame, d: PositionSet, p: Player | int) -> bool:
     ``p`` position some), and ``p`` wins the whole subgame induced by
     ``d``.
     """
+    _require_player(p)
     _require_inside(g, d, "candidate dominion")
     if not d:
         raise EmptyGame("a dominion must be non-empty")

@@ -177,6 +177,31 @@ def test_find_dominion_rejects_bad_size(whole_core1):
         find_dominion(whole_core1, 0)
 
 
+@pytest.mark.parametrize("players", [(2,), (-1,), (0, 2), ("0",)])
+def test_find_dominion_rejects_bad_players(whole_core1, players, monkeypatch):
+    # before any search, so the same on the compiled and the Python path
+    monkeypatch.setattr(solver, "_search", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match="player must be 0 or 1"):
+        find_dominion(whole_core1, 2, players=players)
+
+
+@pytest.mark.parametrize("p", [2, -1])
+def test_is_dominion_rejects_bad_players(whole_core1, p):
+    with pytest.raises(ValueError, match="player must be 0 or 1"):
+        is_dominion(whole_core1, whole_core1.alive, p)
+
+
+def test_the_python_search_has_no_depth_limit(monkeypatch):
+    # one branch point per position of a 3,000-cycle, all on one path
+    monkeypatch.setattr(solver, "_kernel", None)
+    n = 3000
+    g = mk([0] * n, [0] * n, [[(v + 1) % n] for v in range(n)])
+    found = find_dominion(Subgame.whole(g), n)
+    assert found is not None
+    d, player = found
+    assert d.mask == g.full_mask and player is Player.EVEN
+
+
 def test_call_limit_carries_partial_stats():
     sub = Subgame.whole(gen_core(2))
     with pytest.raises(CallLimitExceeded) as exc:
@@ -328,26 +353,36 @@ def test_dominion_replay_matches_a_fresh_scan(n, seed, fixed, data):
             alive &= ~(1 << v)
 
 
+def _searcher(backend):
+    # one backend's search, (game, alive, seed, p, budget) -> (result, touched, probes)
+    if backend == "python":
+        return solver._search_py
+    kernel = _compiled()
+    return lambda g, *args: kernel.search(g.packed or solver._pack(g), *args)
+
+
+@pytest.mark.parametrize("backend", ["python", "kernel"])
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 10_000), st.integers(0, 1), st.integers(1, 6), st.data())
-def test_search_is_fixed_by_alive_on_touched(n, game_seed, p, budget, data):
+def test_search_is_fixed_by_alive_on_touched(backend, n, game_seed, p, budget, data):
     # the replay rests on this: alive bits outside ``touched`` change
     # neither the result nor the probe count; the alive set need not be
     # left-total
+    search = _searcher(backend)
     g = gen_random(n, game_seed)
     alive = data.draw(st.integers(1, g.full_mask))
     seed = data.draw(st.sampled_from([v for v in range(n) if alive >> v & 1]))
-    first = SolveStats()
-    found, touched = solver._search(g, alive, seed, p, budget, first)
+    found, touched, probes = search(g, alive, seed, p, budget)
     flip = data.draw(st.integers(0, g.full_mask)) & ~touched
-    again = SolveStats()
-    assert solver._search(g, alive ^ flip, seed, p, budget, again)[0] == found
-    assert again.dominion_probes == first.dominion_probes
+    again, _, again_probes = search(g, alive ^ flip, seed, p, budget)
+    assert (again, again_probes) == (found, probes)
 
 
-def test_search_finds_every_small_dominion():
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+def test_search_finds_every_small_dominion(backend):
     # completeness: the prunes never cut off a winning strategy, so for
     # every dominion D the search seeded at min(D) succeeds within |D|
+    search = _searcher(backend)
     for seed in range(600):
         g = gen_random(seed % 9 + 1, seed)
         whole = Subgame.whole(g)
@@ -357,7 +392,7 @@ def test_search_finds_every_small_dominion():
                     continue
                 low = (dm & -dm).bit_length() - 1
                 for budget in (dm.bit_count(), dm.bit_count() + 1):
-                    found = solver._search(g, g.full_mask, low, p, budget, SolveStats())[0]
+                    found = search(g, g.full_mask, low, p, budget)[0]
                     assert found is not None, (seed, dm, p, budget)
 
 
@@ -443,21 +478,30 @@ def _compiled():
 
 
 def _agree(kernel, g, alive, seed, p, budget):
-    stats = SolveStats()
-    found, touched = solver._search_py(g, alive, seed, p, budget, stats)
-    assert kernel.search(g.packed or solver._pack(g), alive, seed, p, budget) == (
-        found,
-        touched,
-        stats.dominion_probes,
-    ), (alive, seed, p, budget)
+    got = kernel.search(g.packed or solver._pack(g), alive, seed, p, budget)
+    assert got == solver._search_py(g, alive, seed, p, budget), (alive, seed, p, budget)
+
+
+def _python_include():
+    # the directory of Python.h, where gcc can compile against it
+    include = sysconfig.get_paths()["include"]
+    if shutil.which("gcc") is None or not Path(include, "Python.h").is_file():
+        pytest.skip("no gcc or no Python headers here")
+    return include
 
 
 def test_the_kernel_builds_where_gcc_runs():
     # where the build can work, a failure must not hide behind the fallback
-    include = Path(sysconfig.get_paths()["include"], "Python.h")
-    if shutil.which("gcc") is None or not include.is_file():
-        pytest.skip("no gcc or no Python headers here")
+    _python_include()
     assert _compiled() is not None
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    source = Path(solver.__file__).with_name("_kernel.c")
+    flags = ["-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", "-I" + _python_include()]
+    cmd = ["gcc", *flags, "-o", str(tmp_path / "kernel.so"), str(source)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,11 +12,19 @@
  * ``priority_levels`` (a lower rank is a higher priority), the parity of
  * its priority and its owner.  No per-position mask is packed.
  *
- * The recursion of ``_grow`` runs on an explicit stack of frames, one per
- * branch, so its depth is bounded by memory, not by the C stack.  An
- * edge of the chosen-move graph is one int per position: none, every
- * alive successor (a forced opponent position) or the one successor
- * chosen at a branch.
+ * The probes on the current path sit on an explicit stack, one frame
+ * each, so the depth of a search is bounded by memory, not by the C
+ * stack.  An edge of the chosen-move graph is one int per position:
+ * every alive successor (a forced opponent position) or the one successor
+ * chosen at a branch.  It is valid only on the frame's processed
+ * positions, the keys of ``_search_py``'s chosen-move dict: a probe writes
+ * edges only of positions its frame has not processed, so going back up
+ * undoes nothing.
+ *
+ * Masks cross the Python boundary as little-endian byte arrays read and
+ * written in place; on a big-endian host the build fails, and the solver
+ * runs ``_search_py`` instead.  An alive mask below 0 or at least
+ * 2**(64 W) raises OverflowError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -25,10 +33,13 @@
 #include <stdlib.h>
 #include <string.h>
 
+#if !PY_LITTLE_ENDIAN
+#error "the word buffers are read and written as little-endian bytes"
+#endif
+
 typedef uint64_t word;
 
-#define EDGE_NONE (-1)
-#define EDGE_ALL (-2)
+#define EDGE_ALL (-1)
 #define HAS(m, v) ((m)[(v) >> 6] >> ((v) & 63) & 1)
 #define ADD(m, v) ((m)[(v) >> 6] |= (word)1 << ((v) & 63))
 
@@ -38,12 +49,10 @@ typedef struct {
 } Arena;
 
 /* one probe on the stack: its members, processed and committed masks,
- * its branch position and the next successor of it to try, and the
- * height of the undo stack when it was entered */
+ * and its branch position and the next successor of it to try */
 typedef struct {
     word *mem, *proc, *com;
     int32_t u, next;
-    Py_ssize_t undo_base;
 } Frame;
 
 typedef struct {
@@ -53,8 +62,7 @@ typedef struct {
     int32_t seed;
     long long budget;
     word *alive, *opp, *touched, *seen;
-    int32_t *edge, *undo, *queue;
-    Py_ssize_t nundo;
+    int32_t *edge, *queue;
     Frame *frames;
     Py_ssize_t nframes, cap;
     long long probes;
@@ -118,11 +126,15 @@ pull(Search *S, int32_t s, word *com)
 }
 
 static int
-has_edge(const Search *S, int32_t s, int32_t u)
+has_edge(const Search *S, const word *proc, int32_t s, int32_t u)
 {
-    /* whether the chosen-move graph has the edge s -> u */
+    /* whether the chosen-move graph of the probe that processed proc has
+     * the edge s -> u */
     const Arena *a = &S->a;
-    int32_t e = S->edge[s], k;
+    int32_t e, k;
+    if (!HAS(proc, s))
+        return 0;
+    e = S->edge[s];
     if (e != EDGE_ALL)
         return e == u;
     if (!HAS(S->alive, u))
@@ -134,14 +146,14 @@ has_edge(const Search *S, int32_t s, int32_t u)
 }
 
 static int
-bad_target(const Search *S, int32_t u, int32_t s)
+bad_target(const Search *S, const word *proc, int32_t u, int32_t s)
 {
     /* _bad_targets for one target s of u: the edge u -> s closes a
      * self-loop or a 2-cycle whose maximum has the opponent's parity */
     const Arena *a = &S->a;
     if (s == u)
         return a->par[u] != S->p;
-    if (!has_edge(S, s, u))
+    if (!has_edge(S, proc, s, u))
         return 0;
     return (a->rank[u] <= a->rank[s] ? a->par[u] : a->par[s]) != S->p;
 }
@@ -150,7 +162,7 @@ static int
 reaches_self(Search *S, const word *mem, int32_t x)
 {
     /* whether x reaches itself along the chosen moves through members
-     * of priority at most x's */
+     * of priority at most x's; every member is processed */
     const Arena *a = &S->a;
     int32_t r = a->rank[x], head = 0, tail = 0;
     memset(S->seen, 0, S->W * sizeof(word));
@@ -167,7 +179,7 @@ reaches_self(Search *S, const word *mem, int32_t x)
         }
         for (k = lo; k < hi; k++) {
             int32_t t = e == EDGE_ALL ? a->tgt[k] : e;
-            if (t < 0 || !HAS(mem, t) || a->rank[t] < r || (e == EDGE_ALL && !HAS(S->alive, t)))
+            if (!HAS(mem, t) || a->rank[t] < r || (e == EDGE_ALL && !HAS(S->alive, t)))
                 continue;
             if (t == x)
                 return 1;
@@ -227,18 +239,17 @@ push(Search *S)
 static int
 enter(Search *S, Frame *f)
 {
-    /* one _grow entry: force every opponent member, lowest bit first,
-     * then set up the branch on the lowest unprocessed member.  Returns
-     * 1 when f's members are a certified closure, 0 when a branch is
-     * set up (f->u >= 0) or the probe is dead (f->u < 0) */
+    /* one probe: force every opponent member, lowest bit first, then set
+     * up the branch on the lowest unprocessed member.  Returns 1 when f's
+     * members are a certified closure, 0 when a branch is set up
+     * (f->u >= 0) or the probe is dead (f->u < 0) */
     const Arena *a = &S->a;
     int32_t u, k;
     S->probes++;
-    f->undo_base = S->nundo;
     f->u = -1;
     while ((u = lowest(f->mem, f->proc, S->opp, S->W)) >= 0) {
         for (k = a->off[u]; k < a->off[u + 1]; k++)
-            if (HAS(S->alive, a->tgt[k]) && bad_target(S, u, a->tgt[k]))
+            if (HAS(S->alive, a->tgt[k]) && bad_target(S, f->proc, u, a->tgt[k]))
                 return 0;
         for (k = a->off[u]; k < a->off[u + 1]; k++) {
             int32_t s = a->tgt[k];
@@ -250,7 +261,6 @@ enter(Search *S, Frame *f)
         }
         ADD(f->proc, u);
         S->edge[u] = EDGE_ALL;
-        S->undo[S->nundo++] = u;
         if (over(S, f->com))
             return 0;
     }
@@ -276,7 +286,7 @@ next_child(Search *S, Py_ssize_t d)
     Py_ssize_t W = S->W;
     while (f->next < a->off[u + 1]) {
         int32_t s = a->tgt[f->next++];
-        if (!HAS(S->alive, s) || s < S->seed || bad_target(S, u, s))
+        if (!HAS(S->alive, s) || s < S->seed || bad_target(S, f->proc, u, s))
             continue;
         c = push(S);
         if (!c)
@@ -311,14 +321,9 @@ run(Search *S)
             return 1;
         r = f->u >= 0 ? next_child(S, S->nframes - 1) : 0;
         while (r == 0) {
-            /* leave the top frame: undo its forced edges, resume its parent */
-            f = &S->frames[S->nframes - 1];
-            while (S->nundo > f->undo_base)
-                S->edge[S->undo[--S->nundo]] = EDGE_NONE;
+            /* leave the top frame and resume its parent */
             if (--S->nframes == 0)
                 return 0;
-            f = &S->frames[S->nframes - 1];
-            S->edge[f->u] = EDGE_NONE;
             r = next_child(S, S->nframes - 1);
         }
         if (r < 0)
@@ -329,51 +334,23 @@ run(Search *S)
 static int
 to_words(PyObject *v, word *out, Py_ssize_t W)
 {
-    /* the low 64 W bits of a non-negative int; a negative one raises
-     * OverflowError */
-    Py_ssize_t nbytes, i;
-    unsigned char *buf;
-    int rc;
+    /* the W words of a non-negative int below 2**(64 W); any other int
+     * raises OverflowError */
     if (!PyLong_Check(v)) {
         PyErr_SetString(PyExc_TypeError, "alive must be an int");
         return -1;
     }
-    nbytes = (Py_ssize_t)((_PyLong_NumBits(v) + 7) / 8);
-    if (nbytes < W * 8)
-        nbytes = W * 8;
-    buf = malloc(nbytes);
-    if (!buf) {
-        PyErr_NoMemory();
-        return -1;
-    }
 #if PY_VERSION_HEX >= 0x030D0000
-    rc = _PyLong_AsByteArray((PyLongObject *)v, buf, nbytes, 1, 0, 1);
+    return _PyLong_AsByteArray((PyLongObject *)v, (unsigned char *)out, W * 8, 1, 0, 1);
 #else
-    rc = _PyLong_AsByteArray((PyLongObject *)v, buf, nbytes, 1, 0);
+    return _PyLong_AsByteArray((PyLongObject *)v, (unsigned char *)out, W * 8, 1, 0);
 #endif
-    if (rc == 0)
-        for (i = 0; i < W * 8; i++) {
-            if (i % 8 == 0)
-                out[i / 8] = 0;
-            out[i / 8] |= (word)buf[i] << (8 * (i % 8));
-        }
-    free(buf);
-    return rc;
 }
 
 static PyObject *
 from_words(const word *m, Py_ssize_t W)
 {
-    unsigned char *buf = malloc(W * 8 + 1);
-    PyObject *v;
-    Py_ssize_t i;
-    if (!buf)
-        return PyErr_NoMemory();
-    for (i = 0; i < W * 8; i++)
-        buf[i] = (unsigned char)(m[i / 8] >> (8 * (i % 8)));
-    v = _PyLong_FromByteArray(buf, W * 8, 1, 0);
-    free(buf);
-    return v;
+    return _PyLong_FromByteArray((const unsigned char *)m, W * 8, 1, 0);
 }
 
 static int
@@ -437,9 +414,9 @@ search(PyObject *Py_UNUSED(module), PyObject *args)
     S.W = W = (n + 63) / 64;
     S.p = p;
     S.seed = seed;
-    /* alive, opp, touched and seen, then edge, undo and queue */
+    /* alive, opp, touched and seen, then edge and queue */
     S.alive = malloc(4 * W * sizeof(word));
-    S.edge = malloc(3 * (size_t)n * sizeof(int32_t));
+    S.edge = malloc(2 * (size_t)n * sizeof(int32_t));
     if (!S.alive || !S.edge) {
         PyErr_NoMemory();
         goto done;
@@ -447,18 +424,13 @@ search(PyObject *Py_UNUSED(module), PyObject *args)
     S.opp = S.alive + W;
     S.touched = S.opp + W;
     S.seen = S.touched + W;
-    S.undo = S.edge + n;
-    S.queue = S.undo + n;
+    S.queue = S.edge + n;
     if (to_words(alive, S.alive, W) < 0)
         goto done;
-    memset(S.touched, 0, W * sizeof(word));
-    for (v = 0; v < n; v++) {
-        S.edge[v] = EDGE_NONE;
-        if (v % 64 == 0)
-            S.opp[v / 64] = 0;
+    memset(S.opp, 0, 2 * W * sizeof(word)); /* opp and touched */
+    for (v = 0; v < n; v++)
         if (S.a.own[v] != p && HAS(S.alive, v))
             ADD(S.opp, v);
-    }
     ADD(S.touched, seed);
     f = push(&S);
     if (!f) {

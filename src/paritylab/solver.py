@@ -425,24 +425,13 @@ def _pack(game: ParityGame) -> bytes:
     return packed
 
 
-def _search(
-    game: ParityGame,
-    alive: int,
-    seed: int,
-    p: int,
-    budget: int,
-    stats: SolveStats,
-) -> tuple[Optional[int], int]:
-    """The closure and ``touched`` mask ``_search_py`` returns, with its
-    probes added to ``stats``, from the compiled kernel when it loads and
-    from ``_search_py`` when not."""
+def _search(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> tuple[Optional[int], int, int]:
+    """``_search_py``'s closure, ``touched`` mask and probe count, from the
+    compiled kernel when it loads and from ``_search_py`` when not."""
     kernel = _kernel if _kernel is not False else _load_kernel()
     if kernel is None:
-        found, touched, probes = _search_py(game, alive, seed, p, budget)
-    else:
-        found, touched, probes = kernel.search(game.packed or _pack(game), alive, seed, p, budget)
-    stats.dominion_probes += probes
-    return found, touched
+        return _search_py(game, alive, seed, p, budget)
+    return kernel.search(game.packed or _pack(game), alive, seed, p, budget)
 
 
 def _search_dominion(
@@ -453,8 +442,10 @@ def _search_dominion(
     budget: int,
     stats: SolveStats,
 ) -> Optional[int]:
-    """The closure ``_search`` finds, without its ``touched`` mask."""
-    return _search(game, alive, seed, p, budget, stats)[0]
+    """The closure ``_search`` finds, with its probes added to ``stats``."""
+    found, _, probes = _search(game, alive, seed, p, budget)
+    stats.dominion_probes += probes
+    return found
 
 
 def _find_dominion_mask(
@@ -479,15 +470,13 @@ def _find_dominion_mask(
             key = (base + seed) << 1 | p
             entry = record.get(key)
             if entry is not None and alive & entry[0] == entry[1]:
-                res = entry[2]
-                stats.dominion_probes += entry[3]
                 stats.dominion_replays += 1
             else:
-                before = stats.dominion_probes
-                res, touched = _search(game, alive, seed, p, max_size, stats)
-                record[key] = (touched, alive & touched, res, stats.dominion_probes - before)
-            if res is not None:
-                return res, p
+                res, touched, probes = _search(game, alive, seed, p, max_size)
+                entry = record[key] = (touched, alive & touched, res, probes)
+            stats.dominion_probes += entry[3]
+            if entry[2] is not None:
+                return entry[2], p
         m ^= low
     return None
 
@@ -559,7 +548,9 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     memory rather than by the interpreter's recursion limit: each call is
     a generator that yields the alive mask of every child it needs, with
     the child's priority cursor and whether the child is known to be
-    strongly connected, and is sent back the child's ``(w0, w1)`` masks.
+    strongly connected, and is sent back the child's player-0 region.  A
+    call's regions partition its alive set, so that one mask carries both
+    (``w1`` is ``alive & ~w0``), and each call returns its own ``w0``.
     The cursor is an index into ``priority_levels`` before which no level
     meets the child: the left child starts below the level just removed,
     the right child at it, and the others at their parent's.  A child
@@ -570,19 +561,17 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     succ_masks = game.succ_masks
     stats = SolveStats()
     memo = cfg.memoization
-    # every entered alive mask; with memoization, mapped to its (w0, w1)
-    # once solved.  A running call's entry is still None, but no call
-    # meets it again: every child is strictly smaller than its parent.
-    seen: dict[int, Optional[tuple[int, int]]] = {}
+    # every entered alive mask; with memoization, mapped to its w0 once
+    # solved.  A running call's entry is still None, but no call meets it
+    # again: every child is strictly smaller than its parent.
+    seen: dict[int, Optional[int]] = {}
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
     # the dominion searches already run, for replaying (see _find_dominion_mask)
     record: dict[int, tuple[int, int, Optional[int], int]] = {}
 
-    def call(
-        alive: int, lo: int, strong: bool
-    ) -> Generator[tuple[int, int, bool], tuple[int, int], tuple[int, int]]:
+    def call(alive: int, lo: int, strong: bool) -> Generator[tuple[int, int, bool], int, int]:
         # one call on a non-empty alive set that no priority level before
         # ``lo`` meets, strongly connected if ``strong``; it yields each
         # child with the child's own cursor and strength
@@ -592,31 +581,32 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
             if found is not None:
                 d, p = found
                 a = _attractor_mask(game, alive, d, p)
-                r0, r1 = yield alive & ~a, lo, False
-                return (r0 | a, r1) if p == 0 else (r0, r1 | a)
+                r0 = yield alive & ~a, lo, False
+                return r0 | a if p == 0 else r0
         if scc_on and not strong:
             comp = _first_scc(game, alive)
             if comp != alive:
                 # solve a terminal component, attract both of its regions
                 # within what is left, and repeat on the rest
                 rem = alive
-                w0 = w1 = 0
+                w0 = 0
                 while True:
-                    c0, c1 = yield comp, lo, True
+                    c0 = yield comp, lo, True
+                    c1 = comp & ~c0
                     a0 = _attractor_mask(game, rem, c0, 0) if c0 else 0
-                    rem &= ~a0
-                    a1 = _attractor_mask(game, rem, c1, 1) if c1 else 0
-                    rem &= ~a1
                     w0 |= a0
-                    w1 |= a1
+                    rem &= ~a0
+                    if c1:
+                        rem &= ~_attractor_mask(game, rem, c1, 1)
                     if not rem:
-                        return w0, w1
+                        return w0
                     comp = _first_scc(game, rem)
         pr, holders, i = _max_priority_mask(game, alive, lo)
         p = pr & 1
         a = _attractor_mask(game, alive, holders, p)
-        l0, l1 = yield alive & ~a, i + 1, False
-        w_opp = l1 if p == 0 else l0
+        rest = alive & ~a
+        l0 = yield rest, i + 1, False
+        w_opp = rest & ~l0 if p == 0 else l0
         if w_opp:
             # w_opp is a trap for p in alive & ~a, so whatever joins its
             # attractor first lies in a and moves into w_opp.  Each
@@ -634,13 +624,14 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
         else:
             b = 0
         if b == w_opp:
-            wp = alive & ~w_opp
-            return (wp, w_opp) if p == 0 else (w_opp, wp)
-        r0, r1 = yield alive & ~b, i, False
-        wp = r0 if p == 0 else r1
-        return (wp, alive & ~wp) if p == 0 else (alive & ~wp, wp)
+            return alive & ~w_opp if p == 0 else w_opp
+        r0 = yield alive & ~b, i, False
+        return r0 if p == 0 else r0 | b
 
-    frames: list[Generator[tuple[int, int, bool], tuple[int, int], tuple[int, int]]] = []
+    # each running call, and beside it its alive set, under which it is
+    # memoized
+    frames: list[Generator[tuple[int, int, bool], int, int]] = []
+    alives: list[int] = []
     child = g.alive.mask
     lo = 0
     strong = False
@@ -658,12 +649,13 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 stats.memo_hits += 1
             elif child:
                 frames.append(call(child, lo, strong))
+                alives.append(child)
             else:
-                result = (0, 0)
+                result = 0
                 if memo:
-                    seen[0] = result
+                    seen[0] = 0
             # run the top frame until it asks for a child, handing each
-            # finished call's result to the frame below
+            # finished call's w0 to the frame below
             while frames:
                 try:
                     child, lo, strong = frames[-1].send(result)
@@ -671,13 +663,13 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 except StopIteration as done:
                     frames.pop()
                     result = done.value
+                    alive = alives.pop()
                     if memo:
-                        # a call's regions partition its alive set
-                        seen[result[0] | result[1]] = result
+                        seen[alive] = result
             else:
                 break
     finally:
         stats.distinct_subgames = len(seen)
         stats.wall_time = perf_counter() - t0
-    w0, w1 = result
-    return Regions(PositionSet(game, w0), PositionSet(game, w1)), stats
+    w1 = g.alive.mask & ~result
+    return Regions(PositionSet(game, result), PositionSet(game, w1)), stats

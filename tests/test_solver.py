@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from paritylab import (
     SolveStats,
     SolverConfig,
     Subgame,
+    core,
     default_dominion_bound,
     find_dominion,
     gen_core,
@@ -534,6 +536,33 @@ def test_kernel_matches_at_word_edges_with_huge_priorities(n):
                 for p in (0, 1):
                     for budget in (1, 3, 6):
                         _agree(kernel, g, alive, seed, p, budget)
+
+
+@pytest.mark.parametrize("n", [1, 64, 70])
+def test_kernel_rejects_alive_masks_outside_its_words(n):
+    # an alive mask is W = ceil(n / 64) words: bits past n inside them are
+    # never read, and an int that does not fit is refused, not cut off
+    kernel = _compiled()
+    g = gen_random(n, n)
+    arena = g.packed or solver._pack(g)
+    top = 2 ** (64 * ((n + 63) // 64))
+    assert kernel.search(arena, top - 1, 0, 0, 2) == solver._search_py(g, g.full_mask, 0, 0, 2)
+    for alive in (-1, -top, top, top | 1, 2 * top):
+        with pytest.raises(OverflowError):
+            kernel.search(arena, alive, 0, 0, 1)
+    for alive in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            kernel.search(arena, alive, 0, 0, 1)
+
+
+def test_kernel_comments_name_only_what_exists():
+    # every ``_name`` the kernel's comments cite is a solver or core attribute
+    source = Path(solver.__file__).with_name("_kernel.c").read_text()
+    comments = " ".join(re.findall(r"/\*.*?\*/", source, re.S))
+    cited = set(re.findall(r"\b_[a-z]\w*", comments))
+    assert cited
+    missing = {name for name in cited if not hasattr(solver, name) and not hasattr(core, name)}
+    assert missing == set()
 
 
 _GRID = json.loads((Path(__file__).parent / "data" / "grid_counters.json").read_text())

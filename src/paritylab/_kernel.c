@@ -1,30 +1,36 @@
-/* The bounded dominion search of solver.py (``_search_py``), compiled.
+/* Two hot spots of solver.py, compiled: the SCC layer's closure check
+ * (``_first_scc_py``) and the bounded dominion search (``_search_py``).
  *
- * One function, ``search(arena, alive, seed, p, budget)``, returns the
- * same ``(result, touched, probes)`` as ``_search_py``: the closure found
- * (or None), the touched mask and the number of probes.  Masks are
- * W-word bitsets with W = ceil(n / 64).  The arena is the bytes object
- * ``solver._pack`` builds once per game, native int32s:
+ * ``first_scc(arena, alive)`` returns ``(f, strong)``: f is the forward
+ * closure of the lowest alive position r inside alive, and strong says
+ * whether every position of f reaches r inside f, the two sweeps of
+ * core's ``_closure`` that ``_first_scc_py`` makes.  ``search(arena,
+ * alive, seed, p, budget)`` returns the same ``(result, touched,
+ * probes)`` as ``_search_py``: the closure found (or None), the touched
+ * mask and the number of probes.  Masks are W-word bitsets with
+ * W = ceil(n / 64).  The arena is the bytes object ``solver._pack``
+ * builds once per game, native int32s:
  *
- *     n, m, off[n + 1], tgt[m], rank[n], par[n], own[n]
+ *     n, m, off[n + 1], tgt[m], rank[n], par[n], own[n], poff[n + 1], ptgt[m]
  *
  * the successor lists in game order (CSR), each position's index in
  * ``priority_levels`` (a lower rank is a higher priority), the parity of
- * its priority and its owner.  No per-position mask is packed.
+ * its priority, its owner, and the predecessor lists (CSR, in no
+ * particular order).  No per-position mask is packed.
  *
- * The probes on the current path sit on an explicit stack, one frame
- * each, so the depth of a search is bounded by memory, not by the C
- * stack.  An edge of the chosen-move graph is one int per position:
- * every alive successor (a forced opponent position) or the one successor
- * chosen at a branch.  It is valid only on the frame's processed
- * positions, the keys of ``_search_py``'s chosen-move dict: a probe writes
- * edges only of positions its frame has not processed, so going back up
- * undoes nothing.
+ * The probes on the current path of a search sit on an explicit stack,
+ * one frame each, so the depth of a search is bounded by memory, not by
+ * the C stack.  An edge of the chosen-move graph is one int per
+ * position: every alive successor (a forced opponent position) or the
+ * one successor chosen at a branch.  It is valid only on the frame's
+ * processed positions, the keys of ``_search_py``'s chosen-move dict: a
+ * probe writes edges only of positions its frame has not processed, so
+ * going back up undoes nothing.
  *
  * Masks cross the Python boundary as little-endian byte arrays read and
  * written in place; on a big-endian host the build fails, and the solver
- * runs ``_search_py`` instead.  An alive mask below 0 or at least
- * 2**(64 W) raises OverflowError.
+ * runs its Python code instead.  An alive mask below 0 or at least
+ * 2**(64 W) raises OverflowError, and one that is not an int TypeError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -45,7 +51,7 @@ typedef uint64_t word;
 
 typedef struct {
     int32_t n;
-    const int32_t *off, *tgt, *rank, *par, *own;
+    const int32_t *off, *tgt, *rank, *par, *own, *poff, *ptgt;
 } Arena;
 
 /* one probe on the stack: its members, processed and committed masks,
@@ -363,7 +369,7 @@ unpack(PyObject *packed, Arena *a)
         return -1;
     w = (const int32_t *)data;
     if (len < 8 || (n = w[0]) < 1 || (m = w[1]) < 0
-        || len != (Py_ssize_t)sizeof(int32_t) * (2 + (n + 1) + m + 3 * n)) {
+        || len != (Py_ssize_t)sizeof(int32_t) * (2 + 2 * (n + 1) + 2 * m + 3 * n)) {
         PyErr_SetString(PyExc_ValueError, "malformed packed arena");
         return -1;
     }
@@ -373,6 +379,8 @@ unpack(PyObject *packed, Arena *a)
     a->rank = a->tgt + m;
     a->par = a->rank + n;
     a->own = a->par + n;
+    a->poff = a->own + n;
+    a->ptgt = a->poff + n + 1;
     return 0;
 }
 
@@ -469,14 +477,78 @@ done:
     return out;
 }
 
+static Py_ssize_t
+sweep(const int32_t *off, const int32_t *tgt, const word *within, int32_t r, word *reach, int32_t *queue)
+{
+    /* core._closure from r over one CSR: adds to reach, which holds no
+     * position yet, the positions r reaches inside within, r included,
+     * and returns how many */
+    Py_ssize_t head = 0, tail = 1;
+    queue[0] = r;
+    ADD(reach, r);
+    while (head < tail) {
+        int32_t v = queue[head++], k;
+        for (k = off[v]; k < off[v + 1]; k++) {
+            int32_t t = tgt[k];
+            if (HAS(within, t) && !HAS(reach, t)) {
+                ADD(reach, t);
+                queue[tail++] = t;
+            }
+        }
+    }
+    return tail;
+}
+
+static PyObject *
+first_scc(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *packed, *alive, *f, *out = NULL;
+    Arena a;
+    Py_ssize_t W;
+    word *buf, *fwd, *back;
+    int32_t r, *queue;
+    int strong = 1;
+    if (!PyArg_ParseTuple(args, "SO", &packed, &alive))
+        return NULL;
+    if (unpack(packed, &a) < 0)
+        return NULL;
+    W = (a.n + 63) / 64;
+    /* alive, the forward and the backward closure, then the queue */
+    buf = malloc(3 * W * sizeof(word) + (size_t)a.n * sizeof(int32_t));
+    if (!buf)
+        return PyErr_NoMemory();
+    fwd = buf + W;
+    back = fwd + W;
+    queue = (int32_t *)(back + W);
+    if (to_words(alive, buf, W) < 0)
+        goto done;
+    memset(fwd, 0, 2 * W * sizeof(word));
+    r = lowest(buf, fwd, NULL, W); /* fwd is still empty */
+    if (r >= 0) {
+        Py_ssize_t nf = sweep(a.off, a.tgt, buf, r, fwd, queue);
+        strong = sweep(a.poff, a.ptgt, fwd, r, back, queue) == nf;
+    }
+    f = from_words(fwd, W);
+    if (f) {
+        out = PyTuple_Pack(2, f, strong ? Py_True : Py_False);
+        Py_DECREF(f);
+    }
+done:
+    free(buf);
+    return out;
+}
+
 static PyMethodDef methods[] = {
+    {"first_scc", first_scc, METH_VARARGS,
+     "first_scc(arena, alive) -> (f, strong), the two closures of solver._first_scc_py"},
     {"search", search, METH_VARARGS,
      "search(arena, alive, seed, p, budget) -> (result, touched, probes), as solver._search_py"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
-    PyModuleDef_HEAD_INIT, "_kernel", "The compiled bounded dominion search.", -1, methods,
+    PyModuleDef_HEAD_INIT, "_kernel",
+    "The SCC layer's closure check and the bounded dominion search, compiled.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

@@ -9,8 +9,10 @@ more.  Three independently switchable layers wrap it:
   within one top-level call;
 * SCC decomposition splits the current subgame into strongly connected
   components at every entry and solves terminal components first; the
-  first component comes from two of core's ``_closure`` reachability
-  sweeps, with a lowlink-free depth-first search only as a fallback;
+  first component comes from two reachability sweeps, compiled
+  (``_kernel.c``) where the system gcc can build them and core's
+  ``_closure`` in ``_first_scc_py`` otherwise, with a lowlink-free
+  depth-first search in Python only as a fallback;
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
   anything else.  The search keeps its branch points on an explicit
@@ -38,9 +40,10 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from math import isqrt
 from time import perf_counter
-from typing import Generator, Iterator, Optional
+from typing import Generator, Iterator, Optional, Sequence
 
 from .core import (
     EmptyGame,
@@ -178,7 +181,7 @@ def _scc_masks(game: ParityGame, alive: int) -> list[int]:
     return comps
 
 
-def _first_scc(game: ParityGame, alive: int) -> int:
+def _first_scc_py(game: ParityGame, alive: int) -> int:
     # ``_scc_masks(game, alive)[0]``, mostly without decomposing.  The
     # search's first tree starts at the lowest alive position r and
     # covers exactly its forward closure F, so the first component
@@ -190,6 +193,16 @@ def _first_scc(game: ParityGame, alive: int) -> int:
     if _closure(game.pred_masks, f, r) == f:
         return f
     return _scc_masks(game, f)[0]
+
+
+def _first_scc(game: ParityGame, alive: int) -> int:
+    """``_first_scc_py``'s component, with both closures from the compiled
+    kernel when it loads and from ``_first_scc_py`` when not."""
+    kernel = _kernel if _kernel is not False else _load_kernel()
+    if kernel is None:
+        return _first_scc_py(game, alive)
+    f, strong = kernel.first_scc(game.packed or _pack(game), alive)
+    return f if strong else _scc_masks(game, f)[0]
 
 
 def scc_split(g: Subgame) -> list[PositionSet]:
@@ -332,17 +345,18 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# the compiled search
+# the compiled kernel
 #
-# ``_kernel.c`` runs ``_search_py`` on W-word bitsets and returns the same
-# result, ``touched`` mask and probe count.  It is built with the system
-# gcc on the first search of a process, never at import, and cached
-# under $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
+# ``_kernel.c`` runs both closures of ``_first_scc_py`` and the whole of
+# ``_search_py`` on W-word bitsets, and returns what they need or give.
+# It is built with the system gcc on the first SCC check or dominion
+# search of a process, never at import, and cached under
+# $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
 # ``_kernel-<sha256 of the source><extension suffix>``.  ``_kernel`` is
-# False until that first search, then the loaded module, or None when
-# the build or the load failed: one attempt per process, and
-# ``_search_py`` runs from then on.  Tests set it to None to force the
-# Python path.
+# False until that first use, then the loaded module, or None when the
+# build or the load failed: one attempt per process, and
+# ``_first_scc_py`` and ``_search_py`` run from then on.  Tests set it
+# to None to force the Python path.
 
 _kernel: object = False
 
@@ -409,17 +423,20 @@ def _build_kernel(source: str, path: str) -> None:
 
 def _pack(game: ParityGame) -> bytes:
     # the arena the kernel reads, native int32s kept in the game's
-    # ``packed`` slot: n, the move count, successor offsets and
-    # successors in game order, ``level_of`` ranks, priority parities
-    # and owners
-    offsets = [0]
-    targets: list[int] = []
-    for row in game.successors:
-        targets += row
-        offsets.append(len(targets))
-    words = [game.n, len(targets), *offsets, *targets, *game.level_of]
+    # ``packed`` slot: n, the move count, the successor lists in game
+    # order as offsets and targets, ``level_of`` ranks, priority
+    # parities, owners, then the predecessor lists the same way
+    def csr(rows: Sequence[Sequence[int]]) -> list[int]:
+        return [*accumulate(map(len, rows), initial=0), *chain.from_iterable(rows)]
+
+    preds: list[list[int]] = [[] for _ in range(game.n)]
+    for v, row in enumerate(game.successors):
+        for s in row:
+            preds[s].append(v)
+    words = [game.n, sum(map(len, game.successors)), *csr(game.successors), *game.level_of]
     words += [q & 1 for q in game.priorities]
     words += game.owners
+    words += csr(preds)
     packed = struct.pack(f"={len(words)}i", *words)
     object.__setattr__(game, "packed", packed)
     return packed

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
@@ -272,22 +273,25 @@ def _tarjan(game, alive):
     # textbook recursive Tarjan (SIAM J. Comput. 1972), successors in
     # ascending order: the components of the alive part as masks, in
     # emission order
-    index, low, stack, comps = {}, {}, [], []
+    index, low, stack, on_stack, comps = {}, {}, [], set(), []
 
     def visit(v):
         index[v] = low[v] = len(index)
         stack.append(v)
+        on_stack.add(v)
         for s in sorted(game.successors[v]):
             if alive >> s & 1:
                 if s not in index:
                     visit(s)
                     low[v] = min(low[v], low[s])
-                elif s in stack:
+                elif s in on_stack:
                     low[v] = min(low[v], index[s])
         if low[v] == index[v]:
             comp = 0
             while not comp >> v & 1:
-                comp |= 1 << stack.pop()
+                u = stack.pop()
+                on_stack.discard(u)
+                comp |= 1 << u
             comps.append(comp)
 
     for v in range(game.n):
@@ -301,8 +305,8 @@ def _scc_cases(draw):
     # a game and any non-empty alive set, not only attractor complements:
     # the subgame need not be left-total.  Half the games are gen_random's
     # (out-degree at most 3), half have drawn successor sets, dense ones
-    # included
-    n = draw(st.integers(1, 40))
+    # included; masks cross the 64- and 128-bit word edges
+    n = draw(st.integers(1, 150))
     if draw(st.booleans()):
         g = gen_random(n, draw(st.integers(0, 10_000)))
     else:
@@ -311,13 +315,58 @@ def _scc_cases(draw):
     return g, draw(st.integers(1, g.full_mask))
 
 
+def _first_scc_backend(backend):
+    # one backend's closure check, (game, alive) -> the first component
+    if backend == "python":
+        return solver._first_scc_py
+    _compiled()
+    return solver._first_scc
+
+
+@pytest.mark.parametrize("backend", ["python", "kernel"])
 @settings(max_examples=400, deadline=None)
 @given(_scc_cases())
-def test_first_scc_matches_tarjan(case):
+def test_first_scc_matches_tarjan(backend, case):
+    first_scc = _first_scc_backend(backend)
     g, alive = case
     comps = _tarjan(g, alive)
     assert solver._scc_masks(g, alive) == comps
-    assert solver._first_scc(g, alive) == comps[0]
+    assert first_scc(g, alive) == comps[0]
+    if backend == "kernel":
+        # the kernel's own answer: the forward closure of the lowest alive
+        # position, and whether it is the first component already
+        f, strong = _compiled().first_scc(g.packed or solver._pack(g), alive)
+        assert f == core._closure(g.succ_masks, alive, alive & -alive)
+        assert strong == (f == comps[0])
+
+
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_first_scc_at_word_edges(backend, n):
+    # every third position's only move is a self-loop; each alive set is
+    # cut down one first component at a time, as the SCC layer does, so
+    # most of them are not left-total
+    first_scc = _first_scc_backend(backend)
+    rng = random.Random(n)
+    successors = [[v] if v % 3 == 0 else rng.sample(range(n), min(n, 3)) for v in range(n)]
+    g = mk([rng.randrange(2) for _ in range(n)], list(range(n)), successors)
+    for alive in (g.full_mask, rng.randint(1, g.full_mask), g.full_mask & ~1):
+        while alive:
+            comp = first_scc(g, alive)
+            assert comp == _tarjan(g, alive)[0], (n, alive)
+            alive &= ~comp
+
+
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+def test_first_scc_of_nothing_reads_nothing(backend):
+    # an empty alive set has no lowest position, so no mask is read
+    first_scc = _first_scc_backend(backend)
+    g = gen_random(5, 5)
+    reads = [0]
+    for name in ("succ_masks", "pred_masks"):
+        object.__setattr__(g, name, _counting(getattr(g, name), reads))
+    assert first_scc(g, 0) == 0
+    assert reads == [0]
 
 
 def test_scc_layer_decomposes_nothing_on_a_chain(monkeypatch):
@@ -540,19 +589,60 @@ def test_kernel_matches_at_word_edges_with_huge_priorities(n):
 
 @pytest.mark.parametrize("n", [1, 64, 70])
 def test_kernel_rejects_alive_masks_outside_its_words(n):
-    # an alive mask is W = ceil(n / 64) words: bits past n inside them are
-    # never read, and an int that does not fit is refused, not cut off
+    # in both kernel functions an alive mask is W = ceil(n / 64) words:
+    # bits past n inside them are never read, and an int that does not
+    # fit is refused, not cut off
     kernel = _compiled()
     g = gen_random(n, n)
     arena = g.packed or solver._pack(g)
     top = 2 ** (64 * ((n + 63) // 64))
     assert kernel.search(arena, top - 1, 0, 0, 2) == solver._search_py(g, g.full_mask, 0, 0, 2)
-    for alive in (-1, -top, top, top | 1, 2 * top):
-        with pytest.raises(OverflowError):
-            kernel.search(arena, alive, 0, 0, 1)
-    for alive in (1.0, "1", None):
-        with pytest.raises(TypeError):
-            kernel.search(arena, alive, 0, 0, 1)
+    assert kernel.first_scc(arena, top - 1)[0] == core._closure(g.succ_masks, g.full_mask, 1)
+    for call in (lambda alive: kernel.search(arena, alive, 0, 0, 1), lambda alive: kernel.first_scc(arena, alive)):
+        for alive in (-1, -top, top, top | 1, 2 * top):
+            with pytest.raises(OverflowError):
+                call(alive)
+        for alive in (1.0, "1", None):
+            with pytest.raises(TypeError):
+                call(alive)
+
+
+def _arena(g):
+    # ``_pack(g)`` decoded: n, m, then each of the arena's sections by name
+    packed = solver._pack(g)
+    words = struct.unpack(f"={len(packed) // 4}i", packed)
+    n, m = words[:2]
+    sizes = [("off", n + 1), ("tgt", m), ("rank", n), ("par", n), ("own", n), ("poff", n + 1), ("ptgt", m)]
+    sections, at = {}, 2
+    for name, size in sizes:
+        sections[name] = words[at : at + size]
+        at += size
+    assert at == len(words)
+    return n, m, sections
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 130])
+def test_the_arena_holds_both_move_lists(n):
+    g = gen_random(n, n)
+    size, m, a = _arena(g)
+    assert (size, m) == (n, sum(map(len, g.successors)))
+    assert a["rank"] == g.level_of
+    assert a["par"] == tuple(q & 1 for q in g.priorities)
+    assert a["own"] == g.owners
+    for v in range(n):
+        assert a["tgt"][a["off"][v] : a["off"][v + 1]] == g.successors[v]
+        preds = a["ptgt"][a["poff"][v] : a["poff"][v + 1]]
+        assert len(preds) == len(set(preds)) and sum(1 << u for u in preds) == g.pred_masks[v]
+
+
+def test_both_kernel_functions_reject_a_short_arena():
+    kernel = _compiled()
+    g = gen_random(9, 9)
+    short = (g.packed or solver._pack(g))[:-4]
+    with pytest.raises(ValueError, match="^malformed packed arena$"):
+        kernel.search(short, g.full_mask, 0, 0, 3)
+    with pytest.raises(ValueError, match="^malformed packed arena$"):
+        kernel.first_scc(short, g.full_mask)
 
 
 def test_kernel_comments_name_only_what_exists():
@@ -602,19 +692,21 @@ def _count_builds(monkeypatch):
 
 
 def test_without_a_compiler_the_python_search_runs(monkeypatch, tmp_path):
+    # the first kernel use is an SCC check, then dominion searches follow:
+    # one build attempt serves both kernel functions
     cache = tmp_path / "cache"
     monkeypatch.setenv("PATH", str(tmp_path / "no-gcc-here"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     monkeypatch.setattr(solver, "_kernel", False)
     builds = _count_builds(monkeypatch)
-    for k in (1, 2, 3):
-        g = gen_scc(k)
-        regions, s = solve(Subgame.whole(g), VARIANTS["memo+scc+dom"])
-        assert regions.of(0).mask == g.full_mask
-        counters = [s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth, s.dominion_probes]
-        assert counters == _GRID[f"scc k={k}"]["memo+scc+dom"]
-    assert len(builds) == 1
-    assert solver._kernel is None
+    for variant in ("memo+scc", "memo+scc+dom"):
+        for k in (1, 2, 3):
+            g = gen_scc(k)
+            regions, s = solve(Subgame.whole(g), VARIANTS[variant])
+            assert regions.of(0).mask == g.full_mask
+            counters = [s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth, s.dominion_probes]
+            assert counters == _GRID[f"scc k={k}"][variant]
+            assert len(builds) == 1 and solver._kernel is None
     assert [f for f in cache.rglob("*") if f.is_file()] == []
 
 

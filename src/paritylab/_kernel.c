@@ -19,13 +19,23 @@
  * particular order).  No per-position mask is packed.
  *
  * The probes on the current path of a search sit on an explicit stack,
- * one frame each, so the depth of a search is bounded by memory, not by
- * the C stack.  An edge of the chosen-move graph is one int per
- * position: every alive successor (a forced opponent position) or the
- * one successor chosen at a branch.  It is valid only on the frame's
- * processed positions, the keys of ``_search_py``'s chosen-move dict: a
- * probe writes edges only of positions its frame has not processed, so
- * going back up undoes nothing.
+ * one frame each, so the depth of a search is bounded by its budget, not
+ * by the C stack.  The stack never holds more than
+ * min(max(budget, 1), n) + 1 frames.  Frame i >= 1 is set up only below
+ * a branch of frame i - 1, and that frame's processed positions and its
+ * branch position, at least i of them, are all members of its probe.
+ * Members lie in the committed set, and the ``over`` prune holds
+ * committed to the budget at every branch but one: frame 0 with a seed
+ * the search does not force, whose probe has one member.  So each call
+ * makes one allocation, sized for that many frames, and one free; a
+ * frame's pages are written only when the search reaches it.
+ *
+ * An edge of the chosen-move graph is one int per position: every alive
+ * successor (a forced opponent position) or the one successor chosen at
+ * a branch.  It is valid only on the frame's processed positions, the
+ * keys of ``_search_py``'s chosen-move dict: a probe writes edges only
+ * of positions its frame has not processed, so going back up undoes
+ * nothing.
  *
  * Masks cross the Python boundary as little-endian byte arrays read and
  * written in place; on a big-endian host the build fails, and the solver
@@ -55,7 +65,8 @@ typedef struct {
 } Arena;
 
 /* one probe on the stack: its members, processed and committed masks,
- * and its branch position and the next successor of it to try */
+ * 3 W words of the call's block right after the previous frame's, and
+ * its branch position and the next successor of it to try */
 typedef struct {
     word *mem, *proc, *com;
     int32_t u, next;
@@ -70,7 +81,7 @@ typedef struct {
     word *alive, *opp, *touched, *seen;
     int32_t *edge, *queue;
     Frame *frames;
-    Py_ssize_t nframes, cap;
+    Py_ssize_t nframes;
     long long probes;
 } Search;
 
@@ -216,32 +227,6 @@ certified(Search *S, const word *mem)
     return 1;
 }
 
-static Frame *
-push(Search *S)
-{
-    /* the next frame, its masks allocated on first use; NULL when out of memory */
-    Frame *f;
-    if (S->nframes == S->cap) {
-        Py_ssize_t cap = S->cap ? 2 * S->cap : 8;
-        Frame *grown = realloc(S->frames, cap * sizeof(Frame));
-        if (!grown)
-            return NULL;
-        memset(grown + S->cap, 0, (cap - S->cap) * sizeof(Frame));
-        S->frames = grown;
-        S->cap = cap;
-    }
-    f = &S->frames[S->nframes];
-    if (!f->mem) {
-        f->mem = malloc(3 * S->W * sizeof(word));
-        if (!f->mem)
-            return NULL;
-        f->proc = f->mem + S->W;
-        f->com = f->proc + S->W;
-    }
-    S->nframes++;
-    return f;
-}
-
 static int
 enter(Search *S, Frame *f)
 {
@@ -285,31 +270,29 @@ next_child(Search *S, Py_ssize_t d)
 {
     /* set up frame d + 1 for the next viable successor of frame d's
      * branch position, in successor-list order.  Returns 1 when set up,
-     * 0 when none is left, -1 when out of memory */
+     * 0 when none is left */
     const Arena *a = &S->a;
-    Frame *f = &S->frames[d], *c;
+    Frame *f = &S->frames[d], *c = f + 1;
     int32_t u = f->u;
     Py_ssize_t W = S->W;
+    c->mem = f->com + W;
+    c->proc = c->mem + W;
+    c->com = c->proc + W;
     while (f->next < a->off[u + 1]) {
         int32_t s = a->tgt[f->next++];
         if (!HAS(S->alive, s) || s < S->seed || bad_target(S, f->proc, u, s))
             continue;
-        c = push(S);
-        if (!c)
-            return -1;
-        f = &S->frames[d]; /* push may move the frames */
         memcpy(c->com, f->com, W * sizeof(word));
         ADD(c->com, s);
         if (!HAS(f->mem, s) && HAS(S->opp, s))
             pull(S, s, c->com);
-        if (over(S, c->com)) {
-            S->nframes--;
+        if (over(S, c->com))
             continue;
-        }
         memcpy(c->mem, f->mem, 2 * W * sizeof(word));
         ADD(c->mem, s);
         ADD(c->proc, u);
         S->edge[u] = s;
+        S->nframes = d + 2;
         return 1;
     }
     return 0;
@@ -319,38 +302,46 @@ static int
 run(Search *S)
 {
     /* the search from frame 0; returns 1 when found (the result is the
-     * top frame's members), 0 when not, -1 when out of memory */
+     * top frame's members), 0 when not */
     for (;;) {
         Frame *f = &S->frames[S->nframes - 1];
-        int r;
         if (enter(S, f))
             return 1;
-        r = f->u >= 0 ? next_child(S, S->nframes - 1) : 0;
-        while (r == 0) {
-            /* leave the top frame and resume its parent */
+        if (f->u >= 0 && next_child(S, S->nframes - 1))
+            continue;
+        /* leave the top frame and resume the deepest ancestor with a child left */
+        do {
             if (--S->nframes == 0)
                 return 0;
-            r = next_child(S, S->nframes - 1);
-        }
-        if (r < 0)
-            return -1;
+        } while (!next_child(S, S->nframes - 1));
     }
 }
 
-static int
-to_words(PyObject *v, word *out, Py_ssize_t W)
+static word *
+load(PyObject *alive, Py_ssize_t W, size_t extra)
 {
-    /* the W words of a non-negative int below 2**(64 W); any other int
-     * raises OverflowError */
-    if (!PyLong_Check(v)) {
+    /* a call's one block: the W words of alive, a non-negative int below
+     * 2**(64 W), then extra bytes; NULL with OverflowError for any other
+     * int, TypeError for a non-int, or MemoryError */
+    word *block;
+    int bad;
+    if (!PyLong_Check(alive)) {
         PyErr_SetString(PyExc_TypeError, "alive must be an int");
-        return -1;
+        return NULL;
     }
+    block = malloc(W * sizeof(word) + extra);
+    if (!block)
+        return (word *)PyErr_NoMemory();
 #if PY_VERSION_HEX >= 0x030D0000
-    return _PyLong_AsByteArray((PyLongObject *)v, (unsigned char *)out, W * 8, 1, 0, 1);
+    bad = _PyLong_AsByteArray((PyLongObject *)alive, (unsigned char *)block, W * 8, 1, 0, 1);
 #else
-    return _PyLong_AsByteArray((PyLongObject *)v, (unsigned char *)out, W * 8, 1, 0);
+    bad = _PyLong_AsByteArray((PyLongObject *)alive, (unsigned char *)block, W * 8, 1, 0);
 #endif
+    if (bad < 0) {
+        free(block);
+        return NULL;
+    }
+    return block;
 }
 
 static PyObject *
@@ -384,24 +375,13 @@ unpack(PyObject *packed, Arena *a)
     return 0;
 }
 
-static void
-release(Search *S)
-{
-    Py_ssize_t i;
-    for (i = 0; i < S->cap; i++)
-        free(S->frames[i].mem);
-    free(S->frames);
-    free(S->alive);
-    free(S->edge);
-}
-
 static PyObject *
 search(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *packed, *alive, *budget, *res = NULL, *touched = NULL, *out = NULL;
+    PyObject *packed, *alive, *budget, *res, *touched, *out = NULL;
     Search S;
     Frame *f;
-    Py_ssize_t W;
+    Py_ssize_t W, nf;
     int32_t v, seed, n;
     int p, overflow, found;
     if (!PyArg_ParseTuple(args, "SOiiO", &packed, &alive, &seed, &p, &budget))
@@ -422,58 +402,42 @@ search(PyObject *Py_UNUSED(module), PyObject *args)
     S.W = W = (n + 63) / 64;
     S.p = p;
     S.seed = seed;
-    /* alive, opp, touched and seen, then edge and queue */
-    S.alive = malloc(4 * W * sizeof(word));
-    S.edge = malloc(2 * (size_t)n * sizeof(int32_t));
-    if (!S.alive || !S.edge) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    nf = (S.budget < 1 ? 1 : S.budget < n ? S.budget : n) + 1; /* the frame bound above */
+    if ((size_t)nf > PY_SSIZE_T_MAX / 2 / (3 * W * sizeof(word) + sizeof(Frame)))
+        return PyErr_NoMemory(); /* a block too big to size, on a 32-bit host */
+    /* alive, opp, touched and seen, the frames' masks, the frames, then
+     * edge and queue */
+    S.alive = load(alive, W, 3 * (nf + 1) * W * sizeof(word) + nf * sizeof(Frame) + 2 * (size_t)n * sizeof(int32_t));
+    if (!S.alive)
+        return NULL;
     S.opp = S.alive + W;
     S.touched = S.opp + W;
     S.seen = S.touched + W;
+    f = S.frames = (Frame *)(S.seen + W + 3 * nf * W);
+    S.edge = (int32_t *)(S.frames + nf);
     S.queue = S.edge + n;
-    if (to_words(alive, S.alive, W) < 0)
-        goto done;
     memset(S.opp, 0, 2 * W * sizeof(word)); /* opp and touched */
     for (v = 0; v < n; v++)
         if (S.a.own[v] != p && HAS(S.alive, v))
             ADD(S.opp, v);
     ADD(S.touched, seed);
-    f = push(&S);
-    if (!f) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    f->mem = S.seen + W;
+    f->proc = f->mem + W;
+    f->com = f->proc + W;
     memset(f->mem, 0, 3 * W * sizeof(word));
     ADD(f->mem, seed);
     ADD(f->com, seed);
-    found = 0;
-    if (HAS(S.opp, seed)) {
+    S.nframes = 1;
+    if (HAS(S.opp, seed))
         pull(&S, seed, f->com);
-        if (over(&S, f->com))
-            S.nframes = 0;
-    }
-    if (S.nframes) {
-        found = run(&S);
-        if (found < 0) {
-            PyErr_NoMemory();
-            goto done;
-        }
-    }
-    if (found)
-        res = from_words(S.frames[S.nframes - 1].mem, W);
-    else {
-        res = Py_None;
-        Py_INCREF(res);
-    }
+    found = !(HAS(S.opp, seed) && over(&S, f->com)) && run(&S);
+    res = found ? from_words(S.frames[S.nframes - 1].mem, W) : Py_NewRef(Py_None);
     touched = res ? from_words(S.touched, W) : NULL;
     if (touched)
         out = Py_BuildValue("(OOL)", res, touched, S.probes);
-done:
     Py_XDECREF(res);
     Py_XDECREF(touched);
-    release(&S);
+    free(S.alive);
     return out;
 }
 
@@ -508,20 +472,16 @@ first_scc(PyObject *Py_UNUSED(module), PyObject *args)
     word *buf, *fwd, *back;
     int32_t r, *queue;
     int strong = 1;
-    if (!PyArg_ParseTuple(args, "SO", &packed, &alive))
-        return NULL;
-    if (unpack(packed, &a) < 0)
+    if (!PyArg_ParseTuple(args, "SO", &packed, &alive) || unpack(packed, &a) < 0)
         return NULL;
     W = (a.n + 63) / 64;
     /* alive, the forward and the backward closure, then the queue */
-    buf = malloc(3 * W * sizeof(word) + (size_t)a.n * sizeof(int32_t));
+    buf = load(alive, W, 2 * W * sizeof(word) + (size_t)a.n * sizeof(int32_t));
     if (!buf)
-        return PyErr_NoMemory();
+        return NULL;
     fwd = buf + W;
     back = fwd + W;
     queue = (int32_t *)(back + W);
-    if (to_words(alive, buf, W) < 0)
-        goto done;
     memset(fwd, 0, 2 * W * sizeof(word));
     r = lowest(buf, fwd, NULL, W); /* fwd is still empty */
     if (r >= 0) {
@@ -533,7 +493,6 @@ first_scc(PyObject *Py_UNUSED(module), PyObject *args)
         out = PyTuple_Pack(2, f, strong ? Py_True : Py_False);
         Py_DECREF(f);
     }
-done:
     free(buf);
     return out;
 }

@@ -41,7 +41,7 @@ from .core import (
     attractor,
     remove,
 )
-from .core import _cycle_heads, _left_total_violation
+from .core import _closure, _cycle_heads, _left_total_violation
 from .families import FamilyIndex, check_core_extension
 from .report import Report
 from .solver import (
@@ -439,21 +439,6 @@ def min_core_dominion(g: Subgame, k: int, size_cap: int) -> Optional[int]:
     return None
 
 
-def _odd_cycle_reachers(alive: int, prs: tuple[int, ...], edge: Dict[int, int]) -> int:
-    # The positions that reach a cycle of odd maximum priority: the heads
-    # of core's cycle rule for parity 1 are those cycles' maxima, and
-    # everything that reaches a head is grown backwards from them.
-    losing = _cycle_heads(prs, edge, alive, 1)
-    grown = losing
-    while grown:
-        grown = 0
-        for v, moves in edge.items():
-            if not losing >> v & 1 and moves & losing:
-                grown |= 1 << v
-        losing |= grown
-    return losing
-
-
 def oracle_solve(g: Subgame) -> Regions:
     """Reference solution by brute force, for cross-checking the solver.
 
@@ -462,9 +447,10 @@ def oracle_solve(g: Subgame) -> Regions:
     at player-0 positions and every alive move at player-1 positions; a
     position is winning for that strategy when no cycle of odd maximum
     priority is reachable from it.  Player 0 wins wherever some strategy
-    does, player 1 wins the rest.  Shares nothing with ``solve`` but
-    core's cycle-parity rule (``_cycle_heads``, which finds the odd
-    cycles), and that rule has its own definition-level test.
+    does, player 1 wins the rest.  Shares nothing with ``solve`` but two
+    rules of core: the cycle-parity rule (``_cycle_heads``, which finds
+    the odd cycles), which has its own definition-level test, and the
+    closure (``_closure``, which finds what reaches them).
 
     Raises ``TooLarge`` beyond 12 alive positions.
     """
@@ -481,13 +467,21 @@ def oracle_solve(g: Subgame) -> Regions:
         v: [s for s in game.successors[v] if alive >> s & 1] for v in positions
     }
     moves = {v: game.succ_masks[v] & alive for v in positions}
+    # the moves reversed, player 1's only: every strategy keeps them all
+    theirs = {v: game.pred_masks[v] & alive & game.owner_masks[1] for v in positions}
     mine = [v for v in positions if game.owners[v] == 0]
     w0 = 0
     for choice in itertools.product(*(succ[v] for v in mine)):
         edge = dict(moves)
+        back = dict(theirs)
         for v, s in zip(mine, choice):
             edge[v] = 1 << s
-        w0 |= alive & ~_odd_cycle_reachers(alive, game.priorities, edge)
+            back[s] |= 1 << v
+        # the heads of core's cycle rule for parity 1 are the maxima of the
+        # cycles of odd maximum priority; a position loses under this
+        # strategy when it reaches one, that is lies in their closure
+        # along the reversed moves
+        w0 |= alive & ~_closure(back, alive, _cycle_heads(game.priorities, edge, alive, 1))
         if w0 == alive:
             break
     return Regions(PositionSet(game, w0), PositionSet(game, alive & ~w0))

@@ -394,24 +394,37 @@ def _kernel_module() -> object:
 
 def _build_kernel(source: str, path: str) -> None:
     # compile into a temporary file beside ``path``, move it into place,
-    # then drop the builds of other sources (``_kernel-<other hash>.*``)
+    # then drop the builds of other sources (``_kernel-<other hash>.*``);
+    # a failed build takes away the directories it made, innermost first
     import subprocess
     import sysconfig
     import tempfile
+    from contextlib import suppress
 
-    cache, name = os.path.split(path)
-    os.makedirs(cache, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".build-", dir=cache)
-    os.close(fd)
+    cache, name = os.path.split(os.path.abspath(path))
+    made = []
+    missing = cache
+    while not os.path.isdir(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
     try:
-        cmd = ["gcc", "-O2", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], "-o", tmp, source]
-        done = subprocess.run(cmd, capture_output=True)
-        if done.returncode:
-            raise OSError(f"gcc exited with {done.returncode}: {done.stderr.decode(errors='replace').strip()}")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".build-", dir=cache)
+        os.close(fd)
+        try:
+            cmd = ["gcc", "-O2", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"], "-o", tmp, source]
+            done = subprocess.run(cmd, capture_output=True)
+            if done.returncode:
+                raise OSError(f"gcc exited with {done.returncode}: {done.stderr.decode(errors='replace').strip()}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):  # not empty: another process built into it
+                os.rmdir(directory)
+        raise
     keep = name.split(".")[0]
     for other in os.listdir(cache):
         if other.startswith("_kernel-") and other.split(".")[0] != keep:

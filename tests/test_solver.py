@@ -194,15 +194,22 @@ def test_is_dominion_rejects_bad_players(whole_core1, p):
         is_dominion(whole_core1, whole_core1.alive, p)
 
 
-def test_the_python_search_has_no_depth_limit(monkeypatch):
-    # one branch point per position of a 3,000-cycle, all on one path
-    monkeypatch.setattr(solver, "_kernel", None)
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+def test_the_search_has_no_depth_limit(backend, monkeypatch):
+    # one branch point per position of a 3,000-cycle, all on one path: at
+    # budget n the kernel fills its frame stack exactly, n + 1 frames, and
+    # a budget past every int64 is cut to n
+    if backend == "python":
+        monkeypatch.setattr(solver, "_kernel", None)
+    else:
+        _compiled()
     n = 3000
     g = mk([0] * n, [0] * n, [[(v + 1) % n] for v in range(n)])
-    found = find_dominion(Subgame.whole(g), n)
-    assert found is not None
-    d, player = found
-    assert d.mask == g.full_mask and player is Player.EVEN
+    for budget in (n, 2**70):
+        found = find_dominion(Subgame.whole(g), budget)
+        assert found is not None
+        d, player = found
+        assert d.mask == g.full_mask and player is Player.EVEN
 
 
 def test_call_limit_carries_partial_stats():
@@ -555,18 +562,90 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# loads the build named by argv[1] and checks both kernel functions
+# against the Python references: word-edge games with each alive seed,
+# both players and budgets from -1 up, and a 3,000-cycle whose search
+# fills the frame stack
+_SANITIZED_RUN = """
+import random, sys
+from importlib.machinery import ExtensionFileLoader, ModuleSpec
+from paritylab import ParityGame, core, solver
+
+loader = ExtensionFileLoader("paritylab._kernel", sys.argv[1])
+kernel = loader.create_module(ModuleSpec("paritylab._kernel", loader, origin=sys.argv[1]))
+loader.exec_module(kernel)
+searches = 0
+
+
+def check(g, alive, seeds, players, budgets):
+    global searches
+    arena = solver._pack(g)
+    r = alive & -alive
+    f = core._closure(g.succ_masks, alive, r)
+    assert kernel.first_scc(arena, alive) == (f, core._closure(g.pred_masks, f, r) == f)
+    for seed in seeds:
+        for p in players:
+            for budget in budgets:
+                got = kernel.search(arena, alive, seed, p, budget)
+                assert got == solver._search_py(g, alive, seed, p, budget), (g.n, alive, seed, p, budget)
+                searches += 1
+
+
+for n in (1, 9, 63, 64, 65, 128, 129):
+    rng = random.Random(n)
+    successors = [[v] if v % 3 == 0 else rng.sample(range(n), min(n, 3)) for v in range(n)]
+    g = ParityGame([rng.randrange(2) for _ in range(n)], [rng.randrange(2 * n) for _ in range(n)], successors)
+    for alive in (g.full_mask, rng.randint(1, g.full_mask)):
+        seeds = [v for v in range(n) if alive >> v & 1]
+        check(g, alive, seeds, (0, 1), (-1, 0, 1, 3, n, 2**70) if n <= 9 else (-1, 0, 1, 3))
+n = 3000
+g = ParityGame([0] * n, [0] * n, [[(v + 1) % n] for v in range(n)])
+check(g, g.full_mask, [0], [0], [n, 2**70])
+print(searches)
+"""
+
+
+def test_the_kernel_is_clean_under_address_sanitizer(tmp_path):
+    # out-of-bounds reads and writes of the one block a call allocates,
+    # the frame stack at its bound included, abort the run
+    include = _python_include()
+    libasan = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan) or not os.path.isfile(libasan):
+        pytest.skip("no libasan for gcc here")
+    build = tmp_path / "kernel-asan.so"
+    flags = ["-O1", "-g", "-fsanitize=address", "-fno-omit-frame-pointer", "-shared", "-fPIC", "-I" + include]
+    source = Path(solver.__file__).with_name("_kernel.c")
+    done = subprocess.run(["gcc", *flags, "-o", str(build), str(source)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    env = dict(
+        os.environ,
+        LD_PRELOAD=libasan,
+        ASAN_OPTIONS="detect_leaks=0",
+        PYTHONPATH=str(Path(solver.__file__).parents[1]),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_RUN, str(build)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 5000
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 150), st.integers(0, 10_000), st.integers(1, 8), st.data())
 def test_kernel_matches_the_python_search(n, game_seed, budget, data):
     # every alive seed and both players, on alive sets that need not be
-    # left-total, over masks that cross word boundaries
+    # left-total, over masks that cross word boundaries; small games also
+    # take the budgets that bound the kernel's frame stack from below and
+    # above (a huge one makes ``_search_py`` exponential on big games)
     kernel = _compiled()
     g = gen_random(n, game_seed)
     alive = data.draw(st.integers(1, g.full_mask))
+    budgets = (budget, -1, 0, 2**70) if n <= 9 else (budget,)
     for seed in range(n):
         if alive >> seed & 1:
             for p in (0, 1):
-                _agree(kernel, g, alive, seed, p, budget)
+                for b in budgets:
+                    _agree(kernel, g, alive, seed, p, b)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
@@ -707,7 +786,8 @@ def test_without_a_compiler_the_python_search_runs(monkeypatch, tmp_path):
             counters = [s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth, s.dominion_probes]
             assert counters == _GRID[f"scc k={k}"][variant]
             assert len(builds) == 1 and solver._kernel is None
-    assert [f for f in cache.rglob("*") if f.is_file()] == []
+    # the failed build takes away both directories it made
+    assert not cache.exists()
 
 
 def test_the_build_is_cached_per_source(monkeypatch, tmp_path):

@@ -32,10 +32,9 @@
  *
  * An edge of the chosen-move graph is one int per position: every alive
  * successor (a forced opponent position) or the one successor chosen at
- * a branch.  It is valid only on the frame's processed positions, the
- * keys of ``_search_py``'s chosen-move dict: a probe writes edges only
- * of positions its frame has not processed, so going back up undoes
- * nothing.
+ * a branch.  The table follows the rule of solver.py's bounded-search
+ * comment block: valid only on the frame's processed positions, so going
+ * back up undoes nothing.
  *
  * Masks cross the Python boundary as little-endian byte arrays read and
  * written in place; on a big-endian host the build fails, and the solver

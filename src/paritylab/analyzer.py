@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from .core import (
     GameError,
@@ -299,38 +299,30 @@ def verify_algorithm_correspondence(t: InducedTree) -> Report:
     """
     rep = Report()
     k = t.k
-    for w in _words(k):
-        sub = t.nodes[TreeLabel.plain(w)]
-        hat_l = t.nodes[TreeLabel.hat(w + "L")]
-        hat_r = t.nodes[TreeLabel.hat(w + "R")]
-        try:
-            child, player, _ = left_step(sub)
-            ok = child == hat_l and player == 1
-            witness = None if ok else f"left step gave {len(child)} positions, player {int(player)}"
-        except GameError as exc:
-            ok, witness = False, f"left step failed: {exc}"
-        rep.add(str(TreeLabel.plain(w)), "left-step", ok, witness)
 
+    def check(label: TreeLabel, item: str, want: Subgame, player: Optional[int], step: Callable) -> None:
+        # ``step()`` gives a child and, for a left step, the player it
+        # reports (None for a right step); both must match the tree
+        name = "right step" if player is None else "left step"
         try:
-            child = right_step(sub, t.w0_of(TreeLabel.hat(w + "L")), 0)
-            ok = child == hat_r
-            witness = None if ok else f"right step gave {len(child)} positions"
+            child, got = step()
+            ok = child == want and got == player
+            shown = "" if player is None else f", player {int(got)}"
+            witness = None if ok else f"{name} gave {len(child)} positions{shown}"
         except GameError as exc:
-            ok, witness = False, f"right step failed: {exc}"
-        rep.add(str(TreeLabel.plain(w)), "right-step", ok, witness)
+            ok, witness = False, f"{name} failed: {exc}"
+        rep.add(str(label), item, ok, witness)
 
     for w in _words(k):
-        if not w:
-            continue
-        hat = t.nodes[TreeLabel.hat(w)]
-        plain = t.nodes[TreeLabel.plain(w)]
-        try:
-            child, player, _ = left_step(hat)
-            ok = child == plain and player == 0
-            witness = None if ok else f"left step gave {len(child)} positions, player {int(player)}"
-        except GameError as exc:
-            ok, witness = False, f"left step failed: {exc}"
-        rep.add(str(TreeLabel.hat(w)), "hat-left-step", ok, witness)
+        label = TreeLabel.plain(w)
+        sub = t.nodes[label]
+        check(label, "left-step", t.nodes[TreeLabel.hat(w + "L")], 1, lambda: left_step(sub)[:2])
+        w0 = t.w0_of(TreeLabel.hat(w + "L"))
+        check(label, "right-step", t.nodes[TreeLabel.hat(w + "R")], None, lambda: (right_step(sub, w0, 0), None))
+    for w in filter(None, _words(k)):
+        label = TreeLabel.hat(w)
+        hat = t.nodes[label]
+        check(label, "hat-left-step", t.nodes[TreeLabel.plain(w)], 0, lambda: left_step(hat)[:2])
     return rep
 
 
@@ -481,7 +473,7 @@ def oracle_solve(g: Subgame) -> Regions:
         # cycles of odd maximum priority; a position loses under this
         # strategy when it reaches one, that is lies in their closure
         # along the reversed moves
-        w0 |= alive & ~_closure(back, alive, _cycle_heads(game.priorities, edge, alive, 1))
+        w0 |= alive & ~_closure(back, alive, sum(_cycle_heads(game.priorities, edge, alive, 1)))
         if w0 == alive:
             break
     return Regions(PositionSet(game, w0), PositionSet(game, alive & ~w0))

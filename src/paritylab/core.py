@@ -142,6 +142,13 @@ class ParityGame:
             by_pr[p] = by_pr.get(p, 0) | bit
         levels = tuple(sorted(by_pr.items(), reverse=True))
         rank = {pr: i for i, (pr, _) in enumerate(levels)}
+        # ids must be writable as PGSolver identifiers: non-negative, distinct
+        ids = tuple(map(int, source_ids)) if source_ids is not None else None
+        first: dict[int, int] = {}
+        for v, i in enumerate(ids or ()):
+            if i < 0 or first.setdefault(i, v) != v:
+                why = "is negative" if i < 0 else f"is also position {first[i]}'s"
+                raise ValueError(f"position {v}: source id {i} {why}")
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "owners", owners_t)
@@ -153,9 +160,7 @@ class ParityGame:
         object.__setattr__(self, "level_of", tuple(map(rank.__getitem__, priorities_t)))
         object.__setattr__(self, "owner_masks", (owner_masks[0], owner_masks[1]))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
-        object.__setattr__(
-            self, "source_ids", tuple(int(i) for i in source_ids) if source_ids is not None else None
-        )
+        object.__setattr__(self, "source_ids", ids)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         object.__setattr__(self, "packed", None)
 
@@ -415,24 +420,25 @@ def _closure(step: Mapping[int, int] | Sequence[int], within: int, start: int) -
 
 def _cycle_heads(
     prs: Sequence[int], step: Mapping[int, int] | Sequence[int], within: int, parity: int
-) -> int:
+) -> Iterator[int]:
     # The cycle-parity rule.  The heads are the positions x of ``within``
     # whose priority q has ``parity`` and that reach themselves along
     # ``step`` through positions of ``within`` of priority <= q.  Such an
     # x is the maximum of a cycle, so the graph ``step`` induces on
     # ``within`` has a cycle whose maximum priority has ``parity``
-    # exactly when some head exists.
+    # exactly when some head exists.  Yields each head's bit as it finds
+    # it, one closure per candidate, so ``any`` stops at the first head
+    # and ``sum`` gives the mask of all of them.
     levels: dict[int, int] = {}
     for v in _bits(within):
         levels[prs[v]] = levels.get(prs[v], 0) | 1 << v
-    heads = below = 0
+    below = 0
     for q in sorted(levels):
         below |= levels[q]
         if q & 1 == parity:
             for x in _bits(levels[q]):
                 if _closure(step, below, step[x] & below) >> x & 1:
-                    heads |= 1 << x
-    return heads
+                    yield 1 << x
 
 
 def _require_inside(g: Subgame, s: PositionSet, what: str) -> None:

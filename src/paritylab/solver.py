@@ -19,12 +19,13 @@ more.  Three independently switchable layers wrap it:
   list, so its depth is bounded by memory, and every probe starts from
   the invariant stated in the bounded-search comment block.  Each
   completed candidate is certified by core's cycle-parity rule,
-  ``_cycle_heads``.  One solve keeps, per seed, player and size bound,
-  the last search it ran and replays it (its result, plus its probes on
-  the counter) when the alive set has not changed on that search's
-  ``touched`` mask.  The search runs compiled (``_kernel.c``) where the
-  system gcc can build it, with the Python search as its reference and
-  fallback.  ``is_dominion`` certifies a given candidate: a trap for the
+  ``_cycle_heads``, which stops at the first bad cycle.  One solve
+  keeps, per seed, player and size bound, the last search it ran and
+  replays it (its result, plus its probes on the counter) when the
+  alive set has not changed on that search's ``touched`` mask.  The
+  search runs compiled (``_kernel.c``) where the system gcc can build
+  it, with the Python search as its reference and fallback.
+  ``is_dominion`` certifies a given candidate: a trap for the
   opponent under core's one-step forcing rule that a plain solve of it
   gives to the player.
 
@@ -231,19 +232,25 @@ def scc_split(g: Subgame) -> list[PositionSet]:
 # forbidden position (below the seed) and fits the budget.  So forcing
 # an opponent member adds nothing to ``committed`` or ``touched`` but
 # the successors of the opponent members it pulls in.
+#
+# Each search, compiled or not, keeps one chosen-move table: a forced
+# position's every alive successor, a branch position's one successor
+# tried.  An entry is valid only on the current probe's processed
+# positions, and only those are read.  A probe writes entries only of
+# positions it has not processed, so going back up undoes nothing.
 
 
-def _bad_targets(prs: tuple[int, ...], p: int, edge: dict[int, int], u: int, targets: int) -> int:
-    # the targets whose edge from ``u`` closes a cycle of the opponent's
-    # parity in the partial graph, a self-loop on ``u`` or a 2-cycle with
-    # a chosen edge; such a cycle can never go away.  ``edge`` holds no
-    # entry for ``u`` yet.
+def _bad_targets(prs: tuple[int, ...], p: int, edge: dict[int, int], processed: int, u: int, targets: int) -> int:
+    # the targets whose edge from ``u``, not processed yet, closes a cycle
+    # of the opponent's parity in the partial graph, a self-loop on ``u``
+    # or a 2-cycle with a processed target's chosen edge; such a cycle can
+    # never go away
     bad = targets & 1 << u if prs[u] & 1 != p else 0
-    t = targets
+    t = targets & processed
     while t:
         low = t & -t
         s = low.bit_length() - 1
-        if edge.get(s, 0) >> u & 1:
+        if edge[s] >> u & 1:
             m = prs[u] if prs[u] >= prs[s] else prs[s]
             if m & 1 != p:
                 bad |= low
@@ -278,24 +285,23 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
         if committed & forbidden or committed.bit_count() > budget:
             return None, touched, 0
     probes = 0
+    edge: dict[int, int] = {}  # the chosen-move table
     # the branch points on the current path, each with its position, its
     # successors not yet tried, the mask of allowed ones, and its probe's
-    # members, processed positions (itself included), committed positions
-    # and chosen moves.  A child probe gets its own copy of the chosen
-    # moves, at most ``budget`` entries since they are members, so going
-    # back up undoes nothing.
-    path: list[tuple[int, Iterator[int], int, int, int, int, dict[int, int]]] = []
-    probe: Optional[tuple[int, int, int, dict[int, int]]] = (members, 0, committed, {})
+    # members, processed positions (itself included) and committed
+    # positions
+    path: list[tuple[int, Iterator[int], int, int, int, int]] = []
+    probe: Optional[tuple[int, int, int]] = (members, 0, committed)
     while probe:
         # one probe: force every opponent member, then branch on the
         # lowest unprocessed member, which belongs to the searched player
-        members, processed, committed, edge = probe
+        members, processed, committed = probe
         probes += 1
         while forced := members & ~processed & opp_mask:
             low = forced & -forced
             u = low.bit_length() - 1
             t = succ_masks[u] & alive
-            if _bad_targets(prs, p, edge, u, t):
+            if _bad_targets(prs, p, edge, processed, u, t):
                 break
             fresh = t & ~members
             members |= t
@@ -313,19 +319,19 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
         else:
             unproc = members & ~processed
             if not unproc:
-                if not _cycle_heads(prs, edge, members, 1 - p):
+                if not any(_cycle_heads(prs, edge, members, 1 - p)):
                     return members, touched, probes
             else:
                 low = unproc & -unproc
                 u = low.bit_length() - 1
                 touched |= succ_masks[u]
                 ok = succ_masks[u] & alive & ~forbidden
-                ok &= ~_bad_targets(prs, p, edge, u, ok)
-                path.append((u, iter(game.successors[u]), ok, members, processed | low, committed, edge))
+                ok &= ~_bad_targets(prs, p, edge, processed, u, ok)
+                path.append((u, iter(game.successors[u]), ok, members, processed | low, committed))
         # the next child of the deepest branch point that has one left
         probe = None
         while path and not probe:
-            u, succs, ok, members, processed, committed, edge = path[-1]
+            u, succs, ok, members, processed, committed = path[-1]
             for s in succs:
                 t = 1 << s
                 if not ok & t:
@@ -337,7 +343,8 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
                     ncom |= sm & alive
                 if ncom & forbidden or ncom.bit_count() > budget:
                     continue
-                probe = members | t, processed, ncom, {**edge, u: t}
+                probe = members | t, processed, ncom
+                edge[u] = t
                 break
             else:
                 path.pop()

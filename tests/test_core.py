@@ -69,10 +69,21 @@ def test_faults_are_reported_in_position_order(args, message):
         mk(*args)
 
 
-@pytest.mark.parametrize("extra", [{"labels": ["a"]}, {"source_ids": [7]}, {"source_ids": [7, 8, 9]}])
-def test_rejects_labels_or_source_ids_of_the_wrong_length(extra):
-    # a game built with them would fail later, in write_pgsolver or label_of
-    with pytest.raises(ValueError, match=f"{next(iter(extra))} must have one entry per position"):
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"labels": ["a"]}, "labels must have one entry per position"),
+        ({"source_ids": [7]}, "source_ids must have one entry per position"),
+        ({"source_ids": [7, 8, 9]}, "source_ids must have one entry per position"),
+        ({"source_ids": [5, 5]}, "position 1: source id 5 is also position 0's"),
+        ({"source_ids": [-1, 3]}, "position 0: source id -1 is negative"),
+    ],
+    ids=["extra0", "extra1", "extra2", "repeated-id", "negative-id"],
+)
+def test_rejects_labels_or_source_ids_of_the_wrong_length(extra, message):
+    # a game built with them would fail later, in write_pgsolver or
+    # label_of, or in parse_pgsolver on the text write_pgsolver gives
+    with pytest.raises(ValueError, match=message):
         ParityGame([0, 1], [0, 1], [[1], [0]], **extra)
 
 
@@ -392,7 +403,10 @@ def test_cycle_heads_match_simple_cycles(n, data):
     within = data.draw(st.integers(0, (1 << n) - 1))
     for parity in (0, 1):
         want = _heads_by_simple_cycles(prs, step, within, parity)
-        assert _cycle_heads(prs, step, within, parity) == want
+        heads = list(_cycle_heads(prs, step, within, parity))
+        # distinct single bits, so their sum is their union
+        assert all(h & h - 1 == 0 < h for h in heads) and len(set(heads)) == len(heads)
+        assert sum(heads) == want
         # the certifier hands in one step mask per position of ``within``
         only = {v: step[v] for v in range(n) if within >> v & 1}
-        assert _cycle_heads(prs, only, within, parity) == want
+        assert sum(_cycle_heads(prs, only, within, parity)) == want

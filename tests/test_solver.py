@@ -212,6 +212,24 @@ def test_the_search_has_no_depth_limit(backend, monkeypatch):
         assert d.mask == g.full_mask and player is Player.EVEN
 
 
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+def test_the_certificate_stops_at_the_first_bad_cycle(backend, monkeypatch):
+    # player 1 forces the whole 3,000-cycle of player-0 positions in one
+    # probe, and every position heads its even cycle: the certificate
+    # needs one closure, not one per head
+    n = 3000
+    g = mk([0] * n, [0] * n, [[(v + 1) % n] for v in range(n)])
+    calls = []
+    if backend == "python":
+        monkeypatch.setattr(solver, "_kernel", None)
+        closure = core._closure
+        monkeypatch.setattr(core, "_closure", lambda *args: calls.append(args) or closure(*args))
+    else:
+        _compiled()
+    assert solver._search(g, g.full_mask, 0, 1, n) == (None, g.full_mask, 1)
+    assert len(calls) == (backend == "python")
+
+
 def test_call_limit_carries_partial_stats():
     sub = Subgame.whole(gen_core(2))
     with pytest.raises(CallLimitExceeded) as exc:

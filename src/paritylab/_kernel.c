@@ -1,22 +1,43 @@
-/* Two hot spots of solver.py, compiled: the SCC layer's closure check
+/* The hot spots of solver.py, compiled: the plain step of the recursion
+ * (``_left_mask`` and ``_right_mask``), the SCC layer's closure check
  * (``_first_scc_py``) and the bounded dominion search (``_search_py``).
  *
- * ``first_scc(arena, alive)`` returns ``(f, strong)``: f is the forward
- * closure of the lowest alive position r inside alive, and strong says
- * whether every position of f reaches r inside f, the two sweeps of
- * core's ``_closure`` that ``_first_scc_py`` makes.  ``search(arena,
- * alive, seed, p, budget)`` returns the same ``(result, touched,
- * probes)`` as ``_search_py``: the closure found (or None), the touched
- * mask and the number of probes.  Masks are W-word bitsets with
- * W = ceil(n / 64).  The arena is the bytes object ``solver._pack``
- * builds once per game, native int32s:
+ * ``left(arena, alive, lo)`` returns ``(p, i, holders, a)``: the level
+ * index i of the highest alive priority, found from the cursor lo by
+ * core's ``_max_priority_mask``, its parity p, its alive holders, and
+ * their attractor a for p.  ``right(arena, alive, holders, w_opp, p)``
+ * returns the opponent's attractor of w_opp, whose first layer grows only
+ * from the positions of w_opp that holders move into, as ``_right_mask``
+ * asks of core's ``_attractor_mask``.  Both return the seed object itself
+ * when nothing joins it.  ``first_scc(arena, alive)`` returns ``(f,
+ * strong)``: f is the forward closure of the lowest alive position r
+ * inside alive, and strong says whether every position of f reaches r
+ * inside f, the two sweeps of core's ``_closure`` that ``_first_scc_py``
+ * makes.  ``search(arena, alive, seed, p, budget)`` returns the same
+ * ``(result, touched, probes)`` as ``_search_py``: the closure found (or
+ * None), the touched mask and the number of probes.  Masks are W-word
+ * bitsets with W = ceil(n / 64).  The arena is the bytes object
+ * ``solver._pack`` builds once per game, native int32s:
  *
- *     n, m, off[n + 1], tgt[m], rank[n], par[n], own[n], poff[n + 1], ptgt[m]
+ *     n, m, off[n + 1], tgt[m], rank[n], par[n], own[n], poff[n + 1], ptgt[m],
+ *     L, loff[L + 1], lpos[n]
  *
  * the successor lists in game order (CSR), each position's index in
  * ``priority_levels`` (a lower rank is a higher priority), the parity of
- * its priority, its owner, and the predecessor lists (CSR, in no
- * particular order).  No per-position mask is packed.
+ * its priority, its owner, the predecessor lists (CSR, in no particular
+ * order), and the L levels' positions (CSR, ascending in each level).
+ * No per-position mask is packed.
+ *
+ * A plain step reads no more of the arena than the Python step reads of
+ * the game, so on a chain a call costs the same at any depth beyond its
+ * W-word masks, and no pass over W words is made per attractor layer.
+ * ``left`` scans the levels from lo as ``_max_priority_mask`` does, at
+ * most as many levels as alive has positions, and here also at most that
+ * many positions in all, then takes the least rank over alive; it reads
+ * the holders off their level or off alive, whichever is shorter.  Both
+ * attractors run a worklist over the predecessor lists that takes each
+ * joining position once, with a count per opponent position of its alive
+ * successors not yet taken, set the first time the worklist meets it.
  *
  * The probes on the current path of a search sit on an explicit stack,
  * one frame each, so the depth of a search is bounded by its budget, not
@@ -38,8 +59,10 @@
  *
  * Masks cross the Python boundary as little-endian byte arrays read and
  * written in place; on a big-endian host the build fails, and the solver
- * runs its Python code instead.  An alive mask below 0 or at least
- * 2**(64 W) raises OverflowError, and one that is not an int TypeError.
+ * runs its Python code instead.  A mask below 0 or at least 2**(64 W)
+ * raises OverflowError, and one that is not an int TypeError.  The bits
+ * of a mask at or above n are cleared as it is read, so no position past
+ * the arena is ever looked up: to every entry such bits are not there.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -57,10 +80,11 @@ typedef uint64_t word;
 #define EDGE_ALL (-1)
 #define HAS(m, v) ((m)[(v) >> 6] >> ((v) & 63) & 1)
 #define ADD(m, v) ((m)[(v) >> 6] |= (word)1 << ((v) & 63))
+#define DEL(m, v) ((m)[(v) >> 6] &= ~((word)1 << ((v) & 63)))
 
 typedef struct {
-    int32_t n;
-    const int32_t *off, *tgt, *rank, *par, *own, *poff, *ptgt;
+    int32_t n, nl;
+    const int32_t *off, *tgt, *rank, *par, *own, *poff, *ptgt, *loff, *lpos;
 } Arena;
 
 /* one probe on the stack: its members, processed and committed masks,
@@ -316,27 +340,39 @@ run(Search *S)
     }
 }
 
-static word *
-load(PyObject *alive, Py_ssize_t W, size_t extra)
+static int
+read_mask(PyObject *obj, word *m, int32_t n)
 {
-    /* a call's one block: the W words of alive, a non-negative int below
-     * 2**(64 W), then extra bytes; NULL with OverflowError for any other
-     * int, TypeError for a non-int, or MemoryError */
-    word *block;
+    /* m's W words from obj, a non-negative int below 2**(64 W), with the
+     * bits at or above n cleared; -1 with OverflowError for any other int
+     * or TypeError for a non-int */
+    Py_ssize_t W = (n + 63) / 64;
     int bad;
-    if (!PyLong_Check(alive)) {
-        PyErr_SetString(PyExc_TypeError, "alive must be an int");
-        return NULL;
+    if (!PyLong_Check(obj)) {
+        PyErr_SetString(PyExc_TypeError, "a mask must be an int");
+        return -1;
     }
-    block = malloc(W * sizeof(word) + extra);
+#if PY_VERSION_HEX >= 0x030D0000
+    bad = _PyLong_AsByteArray((PyLongObject *)obj, (unsigned char *)m, W * 8, 1, 0, 1);
+#else
+    bad = _PyLong_AsByteArray((PyLongObject *)obj, (unsigned char *)m, W * 8, 1, 0);
+#endif
+    if (bad < 0)
+        return -1;
+    if (n & 63)
+        m[W - 1] &= ((word)1 << (n & 63)) - 1;
+    return 0;
+}
+
+static word *
+load(PyObject *alive, int32_t n, size_t extra)
+{
+    /* a call's one block: the W words of alive as read_mask reads them,
+     * then extra bytes; NULL with read_mask's errors or MemoryError */
+    word *block = malloc((n + 63) / 64 * sizeof(word) + extra);
     if (!block)
         return (word *)PyErr_NoMemory();
-#if PY_VERSION_HEX >= 0x030D0000
-    bad = _PyLong_AsByteArray((PyLongObject *)alive, (unsigned char *)block, W * 8, 1, 0, 1);
-#else
-    bad = _PyLong_AsByteArray((PyLongObject *)alive, (unsigned char *)block, W * 8, 1, 0);
-#endif
-    if (bad < 0) {
+    if (read_mask(alive, block, n) < 0) {
         free(block);
         return NULL;
     }
@@ -353,13 +389,16 @@ static int
 unpack(PyObject *packed, Arena *a)
 {
     char *data;
-    Py_ssize_t len, n, m;
+    Py_ssize_t len, n, m, moves, nl;
     const int32_t *w;
     if (PyBytes_AsStringAndSize(packed, &data, &len) < 0)
         return -1;
     w = (const int32_t *)data;
+    /* the header, both move lists, then L and the levels */
     if (len < 8 || (n = w[0]) < 1 || (m = w[1]) < 0
-        || len != (Py_ssize_t)sizeof(int32_t) * (2 + 2 * (n + 1) + 2 * m + 3 * n)) {
+        || len < (Py_ssize_t)sizeof(int32_t) * ((moves = 2 + 2 * (n + 1) + 2 * m + 3 * n) + 1)
+        || (nl = w[moves]) < 1 || nl > n
+        || len != (Py_ssize_t)sizeof(int32_t) * (moves + 1 + (nl + 1) + n)) {
         PyErr_SetString(PyExc_ValueError, "malformed packed arena");
         return -1;
     }
@@ -371,6 +410,9 @@ unpack(PyObject *packed, Arena *a)
     a->own = a->par + n;
     a->poff = a->own + n;
     a->ptgt = a->poff + n + 1;
+    a->nl = (int32_t)nl;
+    a->loff = a->ptgt + m + 1;
+    a->lpos = a->loff + nl + 1;
     return 0;
 }
 
@@ -406,7 +448,7 @@ search(PyObject *Py_UNUSED(module), PyObject *args)
         return PyErr_NoMemory(); /* a block too big to size, on a 32-bit host */
     /* alive, opp, touched and seen, the frames' masks, the frames, then
      * edge and queue */
-    S.alive = load(alive, W, 3 * (nf + 1) * W * sizeof(word) + nf * sizeof(Frame) + 2 * (size_t)n * sizeof(int32_t));
+    S.alive = load(alive, n, 3 * (nf + 1) * W * sizeof(word) + nf * sizeof(Frame) + 2 * (size_t)n * sizeof(int32_t));
     if (!S.alive)
         return NULL;
     S.opp = S.alive + W;
@@ -475,7 +517,7 @@ first_scc(PyObject *Py_UNUSED(module), PyObject *args)
         return NULL;
     W = (a.n + 63) / 64;
     /* alive, the forward and the backward closure, then the queue */
-    buf = load(alive, W, 2 * W * sizeof(word) + (size_t)a.n * sizeof(int32_t));
+    buf = load(alive, a.n, 2 * W * sizeof(word) + (size_t)a.n * sizeof(int32_t));
     if (!buf)
         return NULL;
     fwd = buf + W;
@@ -496,7 +538,204 @@ first_scc(PyObject *Py_UNUSED(module), PyObject *args)
     return out;
 }
 
+/* a plain-step call's one block: alive, the holders, the attractor,
+ * the worklist's done and counted marks (W words each), then its pending
+ * counts and queue (n ints each) */
+typedef struct {
+    word *alive, *hold, *att, *done, *counted;
+    int32_t *pending, *queue;
+} Step;
+
+static int
+step_block(Step *s, PyObject *alive, int32_t n)
+{
+    /* allocate s's block, read alive into it and clear the other masks */
+    Py_ssize_t W = (n + 63) / 64;
+    s->alive = load(alive, n, 4 * W * sizeof(word) + 2 * (size_t)n * sizeof(int32_t));
+    if (!s->alive)
+        return -1;
+    s->hold = s->alive + W;
+    s->att = s->hold + W;
+    s->done = s->att + W;
+    s->counted = s->done + W;
+    s->pending = (int32_t *)(s->counted + W);
+    s->queue = s->pending + n;
+    memset(s->hold, 0, 4 * W * sizeof(word));
+    return 0;
+}
+
+static int
+attract(const Arena *a, Step *s, Py_ssize_t tail, int p)
+{
+    /* core._attractor_mask for p as a worklist.  s->att holds the seed
+     * and queue[0, tail) its front; done holds the seed minus the front,
+     * and counted nothing.  A position is done once the worklist has
+     * taken it out.  A free alive position joins att when it is met as a
+     * predecessor of a done one and either p owns it or it has no alive
+     * successor left that is not done: pending[u] says how many, from the
+     * first time u is met.  Returns whether any position joined */
+    Py_ssize_t head = 0, front = tail;
+    while (head < tail) {
+        int32_t v = s->queue[head++], k, j;
+        int live = HAS(s->alive, v) != 0;
+        ADD(s->done, v);
+        for (k = a->poff[v]; k < a->poff[v + 1]; k++) {
+            int32_t u = a->ptgt[k];
+            if (!HAS(s->alive, u) || HAS(s->att, u))
+                continue;
+            if (a->own[u] != p) {
+                if (!HAS(s->counted, u)) {
+                    ADD(s->counted, u);
+                    s->pending[u] = 0;
+                    for (j = a->off[u]; j < a->off[u + 1]; j++)
+                        s->pending[u] += HAS(s->alive, a->tgt[j]) && !HAS(s->done, a->tgt[j]);
+                }
+                else
+                    s->pending[u] -= live; /* v was not done when u was counted */
+                if (s->pending[u])
+                    continue;
+            }
+            ADD(s->att, u);
+            s->queue[tail++] = u;
+        }
+    }
+    return tail > front;
+}
+
+static int32_t
+top_level(const Arena *a, const word *alive, Py_ssize_t W, Py_ssize_t lo, long long size)
+{
+    /* core._max_priority_mask's level index for a cursor lo that no level
+     * before it meets alive, which holds size positions: the first level
+     * from lo that meets alive, looked for in at most size levels and at
+     * most size positions, else the least rank over alive; -1 when alive
+     * is empty */
+    long long budget = size;
+    int32_t best = -1;
+    Py_ssize_t i, k;
+    for (i = lo; i < a->nl; i++)
+        for (k = a->loff[i]; k < a->loff[i + 1]; k++) {
+            if (budget-- == 0)
+                goto scan;
+            if (HAS(alive, a->lpos[k]))
+                return (int32_t)i;
+        }
+scan:
+    for (i = 0; i < W; i++) {
+        word m = alive[i];
+        while (m) {
+            int32_t v = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+            if (best < 0 || a->rank[v] < best)
+                best = a->rank[v];
+        }
+    }
+    return best;
+}
+
+static PyObject *
+left(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *packed, *alive, *holders = NULL, *att = NULL, *out = NULL;
+    Arena a;
+    Step s;
+    Py_ssize_t W, lo, tail = 0, k;
+    int32_t i;
+    int p;
+    long long size;
+    if (!PyArg_ParseTuple(args, "SOn", &packed, &alive, &lo) || unpack(packed, &a) < 0)
+        return NULL;
+    if (lo < 0) {
+        PyErr_SetString(PyExc_ValueError, "the level cursor must not be negative");
+        return NULL;
+    }
+    if (step_block(&s, alive, a.n) < 0)
+        return NULL;
+    W = (a.n + 63) / 64;
+    size = count(s.alive, W);
+    i = top_level(&a, s.alive, W, lo, size);
+    if (i < 0) {
+        PyErr_SetString(PyExc_ValueError, "alive holds no position of the arena");
+        goto finish;
+    }
+    /* the holders, off the level or off alive, whichever is shorter */
+    if (a.loff[i + 1] - a.loff[i] <= size) {
+        for (k = a.loff[i]; k < a.loff[i + 1]; k++)
+            if (HAS(s.alive, a.lpos[k]))
+                s.queue[tail++] = a.lpos[k];
+    }
+    else
+        for (k = 0; k < W; k++) {
+            word m = s.alive[k];
+            while (m) {
+                int32_t v = (int32_t)(k * 64 + __builtin_ctzll(m));
+                m &= m - 1;
+                if (a.rank[v] == i)
+                    s.queue[tail++] = v;
+            }
+        }
+    for (k = 0; k < tail; k++)
+        ADD(s.hold, s.queue[k]);
+    memcpy(s.att, s.hold, W * sizeof(word));
+    p = a.par[s.queue[0]];
+    holders = from_words(s.hold, W);
+    if (!holders)
+        goto finish;
+    att = attract(&a, &s, tail, p) ? from_words(s.att, W) : Py_NewRef(holders);
+    if (att)
+        out = Py_BuildValue("(inOO)", p, (Py_ssize_t)i, holders, att);
+finish:
+    Py_XDECREF(holders);
+    Py_XDECREF(att);
+    free(s.alive);
+    return out;
+}
+
+static PyObject *
+right(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *packed, *alive, *holders, *w_opp, *out = NULL;
+    Arena a;
+    Step s;
+    Py_ssize_t W, tail = 0, i;
+    int32_t k;
+    int p;
+    if (!PyArg_ParseTuple(args, "SOOOi", &packed, &alive, &holders, &w_opp, &p) || unpack(packed, &a) < 0)
+        return NULL;
+    if (p != 0 && p != 1) {
+        PyErr_SetString(PyExc_ValueError, "player out of range");
+        return NULL;
+    }
+    if (step_block(&s, alive, a.n) < 0)
+        return NULL;
+    W = (a.n + 63) / 64;
+    if (read_mask(holders, s.hold, a.n) < 0 || read_mask(w_opp, s.att, a.n) < 0)
+        goto finish;
+    memcpy(s.done, s.att, W * sizeof(word));
+    /* the front: the seed positions the holders move into, each once */
+    for (i = 0; i < W; i++) {
+        word m = s.hold[i];
+        while (m) {
+            int32_t h = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+            for (k = a.off[h]; k < a.off[h + 1]; k++)
+                if (HAS(s.done, a.tgt[k])) {
+                    DEL(s.done, a.tgt[k]);
+                    s.queue[tail++] = a.tgt[k];
+                }
+        }
+    }
+    out = attract(&a, &s, tail, 1 - p) ? from_words(s.att, W) : Py_NewRef(w_opp);
+finish:
+    free(s.alive);
+    return out;
+}
+
 static PyMethodDef methods[] = {
+    {"left", left, METH_VARARGS,
+     "left(arena, alive, lo) -> (p, i, holders, a), as solver._left_mask"},
+    {"right", right, METH_VARARGS,
+     "right(arena, alive, holders, w_opp, p) -> b, as solver._right_mask"},
     {"first_scc", first_scc, METH_VARARGS,
      "first_scc(arena, alive) -> (f, strong), the two closures of solver._first_scc_py"},
     {"search", search, METH_VARARGS,

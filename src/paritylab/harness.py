@@ -18,9 +18,6 @@ also runs.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -284,6 +281,8 @@ def write_csv(records: Iterable[BenchRecord], dest: Union[str, TextIO]) -> None:
     Each row is flushed once written, so rows that a generator yields
     reach ``dest`` as they come.
     """
+    import csv
+
     own = isinstance(dest, str)
     handle = open(dest, "w", newline="", encoding="utf-8") if own else dest
     try:
@@ -310,6 +309,8 @@ def write_csv(records: Iterable[BenchRecord], dest: Union[str, TextIO]) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="paritylab",
         description="Generate, solve and structurally verify worst-case parity games.",
@@ -384,6 +385,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print("W0:", " ".join(str(ids[v]) for v in regions.w0.indices()))
     print("W1:", " ".join(str(ids[v]) for v in regions.w1.indices()))
     if args.stats:
+        import json
+
         with open(args.stats, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2)
             handle.write("\n")

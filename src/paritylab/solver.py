@@ -3,7 +3,11 @@
 The baseline procedure is the classic divide-and-conquer one: remove the
 attractor of the maximal-priority positions, solve the rest, and either
 conclude directly or cut the opponent's winning part and recurse once
-more.  Three independently switchable layers wrap it:
+more.  Each half of that plain step is one call: the max-priority lookup
+with its attractor, ``_left_mask``, and the opponent's attractor,
+``_right_mask``, both compiled (``_kernel.c``) where the system gcc can
+build them, with these Python twins as their reference and fallback.
+Three independently switchable layers wrap it:
 
 * memoization caches the winning partition of every alive set solved
   within one top-level call;
@@ -354,16 +358,18 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
 # ---------------------------------------------------------------------------
 # the compiled kernel
 #
-# ``_kernel.c`` runs both closures of ``_first_scc_py`` and the whole of
-# ``_search_py`` on W-word bitsets, and returns what they need or give.
-# It is built with the system gcc on the first SCC check or dominion
-# search of a process, never at import, and cached under
+# ``_kernel.c`` runs ``_left_mask``, ``_right_mask``, both closures of
+# ``_first_scc_py`` and the whole of ``_search_py`` on W-word bitsets,
+# and returns what they need or give.  It is built with the system gcc
+# on the first solve of a process, never at import, and cached under
 # $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
 # ``_kernel-<sha256 of the source><extension suffix>``.  ``_kernel`` is
 # False until that first use, then the loaded module, or None when the
-# build or the load failed: one attempt per process, and
-# ``_first_scc_py`` and ``_search_py`` run from then on.  Tests set it
-# to None to force the Python path.
+# build or the load failed: one attempt per process, and the Python
+# functions run from then on.  Tests set it to None to force the Python
+# path.  The SCC and dominion branches of a call attract with the
+# Python ``_attractor_mask``: their seeds are mostly small, and a kernel
+# call costs more than a Python attractor of one position.
 
 _kernel: object = False
 
@@ -445,7 +451,8 @@ def _pack(game: ParityGame) -> bytes:
     # the arena the kernel reads, native int32s kept in the game's
     # ``packed`` slot: n, the move count, the successor lists in game
     # order as offsets and targets, ``level_of`` ranks, priority
-    # parities, owners, then the predecessor lists the same way
+    # parities, owners, then the predecessor lists the same way, and
+    # last the level count and each level's positions the same way
     def csr(rows: Sequence[Sequence[int]]) -> list[int]:
         return [*accumulate(map(len, rows), initial=0), *chain.from_iterable(rows)]
 
@@ -453,10 +460,14 @@ def _pack(game: ParityGame) -> bytes:
     for v, row in enumerate(game.successors):
         for s in row:
             preds[s].append(v)
+    levels: list[list[int]] = [[] for _ in game.priority_levels]
+    for v, i in enumerate(game.level_of):
+        levels[i].append(v)
     words = [game.n, sum(map(len, game.successors)), *csr(game.successors), *game.level_of]
     words += [q & 1 for q in game.priorities]
     words += game.owners
     words += csr(preds)
+    words += [len(levels), *csr(levels)]
     packed = struct.pack(f"={len(words)}i", *words)
     object.__setattr__(game, "packed", packed)
     return packed
@@ -574,6 +585,37 @@ def is_dominion(g: Subgame, d: PositionSet, p: Player | int) -> bool:
 # the solver proper
 
 
+def _left_mask(game: ParityGame, alive: int, lo: int) -> tuple[int, int, int, int]:
+    """The plain step's first half on a non-empty ``alive`` that no level
+    before ``lo`` meets: the parity ``p`` of the highest alive priority,
+    its index in ``priority_levels``, its alive holders and their
+    attractor for ``p``.  The reference for the kernel's ``left``."""
+    pr, holders, i = _max_priority_mask(game, alive, lo)
+    p = pr & 1
+    return p, i, holders, _attractor_mask(game, alive, holders, p)
+
+
+def _right_mask(game: ParityGame, alive: int, holders: int, w_opp: int, p: int) -> int:
+    """The plain step's second half: the attractor for ``1 - p`` of
+    ``w_opp``, the opponent's region of ``alive & ~a``, where ``a`` is
+    the attractor of ``holders`` that ``_left_mask`` gave.  The reference
+    for the kernel's ``right``."""
+    # w_opp is a trap for p in alive & ~a, so whatever joins its
+    # attractor first lies in a and moves into w_opp.  Each
+    # position of a outside holders has a move into a (all its
+    # moves, if 1 - p owns it), so it cannot join first either:
+    # the first layer needs only the part of w_opp that holders
+    # move into
+    succ_masks = game.succ_masks
+    front = 0
+    m = holders
+    while m:
+        low = m & -m
+        front |= succ_masks[low.bit_length() - 1]
+        m ^= low
+    return _attractor_mask(game, alive, w_opp, 1 - p, front & w_opp)
+
+
 def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, SolveStats]:
     """Winning regions of ``g`` plus instrumentation counters.
 
@@ -595,7 +637,13 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     skips its own SCC check, which would give it back unchanged.
     """
     game = g.game
-    succ_masks = game.succ_masks
+    # the plain step: its two halves from the kernel on the packed arena,
+    # or their Python twins on the game
+    kernel = _kernel if _kernel is not False else _load_kernel()
+    if kernel is None:
+        arena, left, right = game, _left_mask, _right_mask
+    else:
+        arena, left, right = game.packed or _pack(game), kernel.left, kernel.right
     stats = SolveStats()
     memo = cfg.memoization
     # every entered alive mask; with memoization, mapped to its w0 once
@@ -638,28 +686,11 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                     if not rem:
                         return w0
                     comp = _first_scc(game, rem)
-        pr, holders, i = _max_priority_mask(game, alive, lo)
-        p = pr & 1
-        a = _attractor_mask(game, alive, holders, p)
+        p, i, holders, a = left(arena, alive, lo)
         rest = alive & ~a
         l0 = yield rest, i + 1, False
         w_opp = rest & ~l0 if p == 0 else l0
-        if w_opp:
-            # w_opp is a trap for p in alive & ~a, so whatever joins its
-            # attractor first lies in a and moves into w_opp.  Each
-            # position of a outside holders has a move into a (all its
-            # moves, if 1 - p owns it), so it cannot join first either:
-            # the first layer needs only the part of w_opp that holders
-            # move into
-            front = 0
-            m = holders
-            while m:
-                low = m & -m
-                front |= succ_masks[low.bit_length() - 1]
-                m ^= low
-            b = _attractor_mask(game, alive, w_opp, 1 - p, front & w_opp)
-        else:
-            b = 0
+        b = right(arena, alive, holders, w_opp, p) if w_opp else 0
         if b == w_opp:
             return alive & ~w_opp if p == 0 else w_opp
         r0 = yield alive & ~b, i, False

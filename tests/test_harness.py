@@ -449,3 +449,16 @@ def test_cli_bench_rejects_bad_range(capsys):
     code = main(["bench", "--family", "core", "--k-min", "3", "--k-max", "1", "--variants", "plain"])
     assert code == 2
     assert "k-min" in capsys.readouterr().err
+
+
+def test_import_leaves_the_cli_modules_unloaded(tmp_path):
+    # argparse, csv and json serve only the command line and write_csv,
+    # which import them when they run
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, paritylab; print(*(m in sys.modules for m in ('argparse', 'csv', 'json')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.split() == ["False", "False", "False"]

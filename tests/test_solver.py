@@ -580,10 +580,11 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# loads the build named by argv[1] and checks both kernel functions
+# loads the build named by argv[1] and checks all four kernel functions
 # against the Python references: word-edge games with each alive seed,
-# both players and budgets from -1 up, and a 3,000-cycle whose search
-# fills the frame stack
+# both players and budgets from -1 up, every valid level cursor, alive
+# masks with bits only past n, and a 3,000-cycle whose search fills the
+# frame stack
 _SANITIZED_RUN = """
 import random, sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
@@ -601,6 +602,24 @@ def check(g, alive, seeds, players, budgets):
     r = alive & -alive
     f = core._closure(g.succ_masks, alive, r)
     assert kernel.first_scc(arena, alive) == (f, core._closure(g.pred_masks, f, r) == f)
+    want = solver._left_mask(g, alive, 0)
+    for lo in range(want[1] + 1):
+        assert kernel.left(arena, alive, lo) == want, (g.n, alive, lo)
+    p, _, holders, a = want
+    for w_opp in (alive & ~a, alive, alive & -alive):
+        if w_opp:
+            for q in (0, 1):
+                assert kernel.right(arena, alive, holders, w_opp, q) == solver._right_mask(g, alive, holders, w_opp, q)
+    past = (1 << 64 * ((g.n + 63) // 64)) - 1 & ~g.full_mask
+    if past:
+        assert kernel.first_scc(arena, past) == (0, True)
+        assert kernel.right(arena, past, past, past, 0) is past
+        try:
+            kernel.left(arena, past, 0)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("left took a bit past n as a position")
     for seed in seeds:
         for p in players:
             for budget in budgets:
@@ -684,34 +703,131 @@ def test_kernel_matches_at_word_edges_with_huge_priorities(n):
                         _agree(kernel, g, alive, seed, p, budget)
 
 
-@pytest.mark.parametrize("n", [1, 64, 70])
+def _agree_on_the_plain_step(kernel, g, alive, w_opps):
+    # ``left`` from every valid cursor, then ``right`` on each w_opp for
+    # both players, against their Python twins; when nothing joins, both
+    # hand back the seed object they were given
+    arena = g.packed or solver._pack(g)
+    want = solver._left_mask(g, alive, 0)
+    for lo in range(want[1] + 1):
+        got = kernel.left(arena, alive, lo)
+        assert got == want, (alive, lo)
+        assert (got[3] is got[2]) == (got[3] == got[2])
+    p, _, holders, a = got
+    for w_opp in w_opps:
+        for q in (p, 1 - p):
+            b = kernel.right(arena, alive, holders, w_opp, q)
+            assert b == solver._right_mask(g, alive, holders, w_opp, q), (alive, w_opp, q)
+            assert (b is w_opp) == (b == w_opp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 10_000), st.data())
+def test_kernel_matches_the_python_plain_step(n, game_seed, data):
+    # alive sets that need not be left-total, w_opp inside what the left
+    # step leaves (as in the solver) and anywhere in alive
+    kernel = _compiled()
+    g = gen_random(n, game_seed)
+    alive = data.draw(st.integers(1, g.full_mask))
+    rest = alive & ~solver._left_mask(g, alive, 0)[3]
+    w_opps = [rest, data.draw(st.integers(0, g.full_mask)) & rest, data.draw(st.integers(0, g.full_mask)) & alive]
+    _agree_on_the_plain_step(kernel, g, alive, [w for w in w_opps if w])
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_kernel_plain_step_at_word_edges_with_huge_priorities(n):
+    # priorities past 2**64 reach the kernel only as ranks and parities;
+    # every third position's only move is a self-loop, and each alive set
+    # is cut down by the left step's attractor, as the recursion does
+    kernel = _compiled()
+    rng = random.Random(n)
+    owners = [rng.randrange(2) for _ in range(n)]
+    priorities = [2**64 + rng.randrange(2 * n) for _ in range(n)]
+    successors = [[v] if v % 3 == 0 else rng.sample(range(n), min(n, 3)) for v in range(n)]
+    g = ParityGame(owners, priorities, successors)
+    for alive in (g.full_mask, rng.randint(1, g.full_mask), g.full_mask & ~1, 1 << n - 1):
+        while alive:
+            a = solver._left_mask(g, alive, 0)[3]
+            w_opps = [alive & ~a, rng.randint(0, g.full_mask) & alive, 1 << (alive.bit_length() - 1)]
+            _agree_on_the_plain_step(kernel, g, alive, [w for w in w_opps if w])
+            alive &= ~a
+
+
+def test_the_plain_step_runs_in_the_kernel_when_it_loads(monkeypatch):
+    # a solve takes both halves of its plain step from the kernel; with
+    # the kernel set to None, from the Python twins, to the same answer
+    _compiled()
+    g = gen_core(3)
+    calls = []
+    for name in ("_left_mask", "_right_mask"):
+        twin = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *args, name=name, twin=twin: calls.append(name) or twin(*args))
+    regions, stats = solve(Subgame.whole(g))
+    assert calls == []
+    monkeypatch.setattr(solver, "_kernel", None)
+    again, python_stats = solve(Subgame.whole(g))
+    assert again == regions and python_stats.total_calls == stats.total_calls
+    assert calls.count("_left_mask") > calls.count("_right_mask") > 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 70])
 def test_kernel_rejects_alive_masks_outside_its_words(n):
-    # in both kernel functions an alive mask is W = ceil(n / 64) words:
-    # bits past n inside them are never read, and an int that does not
-    # fit is refused, not cut off
+    # in every kernel function a mask is W = ceil(n / 64) words: bits past
+    # n inside them are cleared as the mask is read, so they are never
+    # read as positions, and an int that does not fit is refused, not cut
+    # off
     kernel = _compiled()
     g = gen_random(n, n)
     arena = g.packed or solver._pack(g)
     top = 2 ** (64 * ((n + 63) // 64))
-    assert kernel.search(arena, top - 1, 0, 0, 2) == solver._search_py(g, g.full_mask, 0, 0, 2)
-    assert kernel.first_scc(arena, top - 1)[0] == core._closure(g.succ_masks, g.full_mask, 1)
-    for call in (lambda alive: kernel.search(arena, alive, 0, 0, 1), lambda alive: kernel.first_scc(arena, alive)):
-        for alive in (-1, -top, top, top | 1, 2 * top):
+    full = g.full_mask
+    past = (top - 1) & ~full
+    assert kernel.search(arena, top - 1, 0, 0, 2) == solver._search_py(g, full, 0, 0, 2)
+    assert kernel.first_scc(arena, top - 1)[0] == core._closure(g.succ_masks, full, 1)
+    p, _, holders, a = want = solver._left_mask(g, full, 0)
+    assert kernel.left(arena, top - 1, 0) == want
+    w_opp = full & ~a or full
+    assert kernel.right(arena, top - 1, holders | past, w_opp, p) == solver._right_mask(g, full, holders, w_opp, p)
+    if past:
+        # only bits past n: nothing is alive (first_scc used to take such
+        # a bit as its start position and read offsets past the arena)
+        assert kernel.first_scc(arena, past) == (0, True)
+        assert kernel.search(arena, past, 0, 0, 2) == solver._search_py(g, 0, 0, 0, 2)
+        with pytest.raises(ValueError, match="no position"):
+            kernel.left(arena, past, 0)
+        assert kernel.right(arena, past, past, past, 0) is past
+    with pytest.raises(ValueError, match="cursor"):
+        kernel.left(arena, full, -1)
+    with pytest.raises(ValueError, match="player"):
+        kernel.right(arena, full, 1, 1, 2)
+    calls = (
+        lambda mask: kernel.search(arena, mask, 0, 0, 1),
+        lambda mask: kernel.first_scc(arena, mask),
+        lambda mask: kernel.left(arena, mask, 0),
+        lambda mask: kernel.right(arena, mask, 1, 1, 0),
+        lambda mask: kernel.right(arena, full, mask, 1, 0),
+        lambda mask: kernel.right(arena, full, 1, mask, 0),
+    )
+    for call in calls:
+        for mask in (-1, -top, top, top | 1, 2 * top):
             with pytest.raises(OverflowError):
-                call(alive)
-        for alive in (1.0, "1", None):
+                call(mask)
+        for mask in (1.0, "1", None):
             with pytest.raises(TypeError):
-                call(alive)
+                call(mask)
 
 
 def _arena(g):
-    # ``_pack(g)`` decoded: n, m, then each of the arena's sections by name
+    # ``_pack(g)`` decoded: n, m, then each of the arena's sections by
+    # name; the level count L comes before the level lists
     packed = solver._pack(g)
     words = struct.unpack(f"={len(packed) // 4}i", packed)
     n, m = words[:2]
     sizes = [("off", n + 1), ("tgt", m), ("rank", n), ("par", n), ("own", n), ("poff", n + 1), ("ptgt", m)]
+    sizes += [("L", 1), ("loff", None), ("lpos", n)]
     sections, at = {}, 2
     for name, size in sizes:
+        size = sections["L"][0] + 1 if size is None else size
         sections[name] = words[at : at + size]
         at += size
     assert at == len(words)
@@ -730,16 +846,31 @@ def test_the_arena_holds_both_move_lists(n):
         assert a["tgt"][a["off"][v] : a["off"][v + 1]] == g.successors[v]
         preds = a["ptgt"][a["poff"][v] : a["poff"][v + 1]]
         assert len(preds) == len(set(preds)) and sum(1 << u for u in preds) == g.pred_masks[v]
+    # and the positions of each priority level, ascending
+    assert a["L"] == (len(g.priority_levels),)
+    for i, (_, holders) in enumerate(g.priority_levels):
+        assert a["lpos"][a["loff"][i] : a["loff"][i + 1]] == tuple(v for v in range(n) if holders >> v & 1)
 
 
 def test_both_kernel_functions_reject_a_short_arena():
+    # all four entries, on an arena cut short or whose level count L
+    # (the first int after the predecessor lists) disagrees with its size
     kernel = _compiled()
     g = gen_random(9, 9)
-    short = (g.packed or solver._pack(g))[:-4]
-    with pytest.raises(ValueError, match="^malformed packed arena$"):
-        kernel.search(short, g.full_mask, 0, 0, 3)
-    with pytest.raises(ValueError, match="^malformed packed arena$"):
-        kernel.first_scc(short, g.full_mask)
+    packed = g.packed or solver._pack(g)
+    n, m, a = _arena(g)
+    at = 4 * (2 + 2 * (n + 1) + 2 * m + 3 * n)
+    bad = [packed[:-4], packed[:-1], packed[:at], packed + bytes(4)]
+    bad += [packed[:at] + struct.pack("=i", L) + packed[at + 4 :] for L in (0, a["L"][0] + 1, n + 1, -1)]
+    for arena in bad:
+        for call in (
+            lambda: kernel.search(arena, g.full_mask, 0, 0, 3),
+            lambda: kernel.first_scc(arena, g.full_mask),
+            lambda: kernel.left(arena, g.full_mask, 0),
+            lambda: kernel.right(arena, g.full_mask, 1, 2, 0),
+        ):
+            with pytest.raises(ValueError, match="^malformed packed arena$"):
+                call()
 
 
 def test_kernel_comments_name_only_what_exists():
@@ -789,8 +920,9 @@ def _count_builds(monkeypatch):
 
 
 def test_without_a_compiler_the_python_search_runs(monkeypatch, tmp_path):
-    # the first kernel use is an SCC check, then dominion searches follow:
-    # one build attempt serves both kernel functions
+    # the first solve tries the build, then plain steps, SCC checks and
+    # dominion searches follow: one build attempt serves all four kernel
+    # functions
     cache = tmp_path / "cache"
     monkeypatch.setenv("PATH", str(tmp_path / "no-gcc-here"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))

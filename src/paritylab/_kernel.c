@@ -1,6 +1,8 @@
 /* The hot spots of solver.py, compiled: the plain step of the recursion
  * (``_left_mask`` and ``_right_mask``), the SCC layer's closure check
- * (``_first_scc_py``) and the bounded dominion search (``_search_py``).
+ * (``_first_scc_py``), and the dominion layer's bounded search
+ * (``_search_py``) with its scan and replay loop
+ * (``_find_dominion_mask_py``).
  *
  * ``left(arena, alive, lo)`` returns ``(p, i, holders, a)``: the level
  * index i of the highest alive priority, found from the cursor lo by
@@ -15,7 +17,16 @@
  * inside f, the two sweeps of core's ``_closure`` that ``_first_scc_py``
  * makes.  ``search(arena, alive, seed, p, budget)`` returns the same
  * ``(result, touched, probes)`` as ``_search_py``: the closure found (or
- * None), the touched mask and the number of probes.  Masks are W-word
+ * None), the touched mask and the number of probes.  ``record()`` makes
+ * an empty dominion record, a capsule that frees its table when the solve
+ * drops it, and ``scan(arena, record, alive, budget, players)`` runs
+ * ``_find_dominion_mask_py``'s loop on it: seeds ascending, players in
+ * the order given, each (seed, p, budget) replayed from the record when
+ * alive still agrees with its last search on that search's touched mask
+ * and searched again otherwise, its entry overwritten.  It returns
+ * ``(result, p, probes, replays)``, with result and p None when no
+ * dominion is found.  It reads alive and builds both opponent masks once
+ * per call, and all its searches share one block.  Masks are W-word
  * bitsets with W = ceil(n / 64).  The arena is the bytes object
  * ``solver._pack`` builds once per game, native int32s:
  *
@@ -49,7 +60,8 @@
  * committed to the budget at every branch but one: frame 0 with a seed
  * the search does not force, whose probe has one member.  So each call
  * makes one allocation, sized for that many frames, and one free; a
- * frame's pages are written only when the search reaches it.
+ * frame's pages are written only when the search reaches it.  A budget
+ * of n or more is cut to n, as the stack bound already does.
  *
  * An edge of the chosen-move graph is one int per position: every alive
  * successor (a forced opponent position) or the one successor chosen at
@@ -67,6 +79,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -95,13 +108,16 @@ typedef struct {
     int32_t u, next;
 } Frame;
 
+/* the state of the searches of one call: the arena, the budget, and the
+ * call's one block, which ``prepare`` lays out and ``start`` reuses for
+ * every search from (seed, p) */
 typedef struct {
     Arena a;
     Py_ssize_t W;
     int p;
     int32_t seed;
     long long budget;
-    word *alive, *opp, *touched, *seen;
+    word *alive, *opps, *opp, *touched, *seen, *masks;
     int32_t *edge, *queue;
     Frame *frames;
     Py_ssize_t nframes;
@@ -416,68 +432,371 @@ unpack(PyObject *packed, Arena *a)
     return 0;
 }
 
-static PyObject *
-search(PyObject *Py_UNUSED(module), PyObject *args)
+static int
+prepare(Search *S, PyObject *packed, PyObject *alive, long long budget)
 {
-    PyObject *packed, *alive, *budget, *res, *touched, *out = NULL;
-    Search S;
-    Frame *f;
-    Py_ssize_t W, nf;
-    int32_t v, seed, n;
-    int p, overflow, found;
-    if (!PyArg_ParseTuple(args, "SOiiO", &packed, &alive, &seed, &p, &budget))
-        return NULL;
-    memset(&S, 0, sizeof S);
-    if (unpack(packed, &S.a) < 0)
-        return NULL;
-    n = S.a.n;
-    if (seed < 0 || seed >= n || (p != 0 && p != 1)) {
-        PyErr_SetString(PyExc_ValueError, "seed or player out of range");
-        return NULL;
-    }
-    S.budget = PyLong_AsLongLongAndOverflow(budget, &overflow);
-    if (S.budget == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow)
-        S.budget = overflow > 0 ? n : -1;
-    S.W = W = (n + 63) / 64;
-    S.p = p;
-    S.seed = seed;
-    nf = (S.budget < 1 ? 1 : S.budget < n ? S.budget : n) + 1; /* the frame bound above */
+    /* the set-up search and scan share: the arena, the budget cut to n
+     * (no probe commits more than n positions, so a budget of n or more
+     * never prunes and searches cannot tell such budgets apart), and the
+     * call's one block: alive, both players' opponent masks (player p's
+     * at opps + p W), touched and seen, the frames' masks, the frames,
+     * then edge and queue.  Returns -1 with an exception set */
+    Py_ssize_t W, nf, i;
+    int32_t n;
+    memset(S, 0, sizeof *S);
+    if (unpack(packed, &S->a) < 0)
+        return -1;
+    n = S->a.n;
+    S->budget = budget < n ? budget : n;
+    S->W = W = (n + 63) / 64;
+    nf = (S->budget < 1 ? 1 : S->budget) + 1; /* the frame bound above */
     if ((size_t)nf > PY_SSIZE_T_MAX / 2 / (3 * W * sizeof(word) + sizeof(Frame)))
-        return PyErr_NoMemory(); /* a block too big to size, on a 32-bit host */
-    /* alive, opp, touched and seen, the frames' masks, the frames, then
-     * edge and queue */
-    S.alive = load(alive, n, 3 * (nf + 1) * W * sizeof(word) + nf * sizeof(Frame) + 2 * (size_t)n * sizeof(int32_t));
-    if (!S.alive)
-        return NULL;
-    S.opp = S.alive + W;
-    S.touched = S.opp + W;
-    S.seen = S.touched + W;
-    f = S.frames = (Frame *)(S.seen + W + 3 * nf * W);
-    S.edge = (int32_t *)(S.frames + nf);
-    S.queue = S.edge + n;
-    memset(S.opp, 0, 2 * W * sizeof(word)); /* opp and touched */
-    for (v = 0; v < n; v++)
-        if (S.a.own[v] != p && HAS(S.alive, v))
-            ADD(S.opp, v);
-    ADD(S.touched, seed);
-    f->mem = S.seen + W;
+        return PyErr_NoMemory(), -1; /* a block too big to size, on a 32-bit host */
+    S->alive = load(alive, n, (3 * nf + 4) * W * sizeof(word) + nf * sizeof(Frame) + 2 * (size_t)n * sizeof(int32_t));
+    if (!S->alive)
+        return -1;
+    S->opps = S->alive + W;
+    S->touched = S->opps + 2 * W;
+    S->seen = S->touched + W;
+    S->masks = S->seen + W;
+    S->frames = (Frame *)(S->masks + 3 * nf * W);
+    S->edge = (int32_t *)(S->frames + nf);
+    S->queue = S->edge + n;
+    memset(S->opps, 0, 2 * W * sizeof(word));
+    for (i = 0; i < W; i++) {
+        word m = S->alive[i];
+        while (m) {
+            int32_t v = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+            if (S->a.own[v] != 0)
+                ADD(S->opps, v);
+            if (S->a.own[v] != 1)
+                ADD(S->opps + W, v);
+        }
+    }
+    return 0;
+}
+
+static int
+start(Search *S, int32_t seed, int p)
+{
+    /* one search from (seed, p) in the prepared block: touched and frame
+     * 0 start from the seed.  Returns whether a closure was found (the
+     * top frame's members), with the search's probes in S->probes.  The
+     * chosen-move table needs no reset: a search reads only entries it
+     * wrote */
+    Frame *f = S->frames;
+    Py_ssize_t W = S->W;
+    S->seed = seed;
+    S->p = p;
+    S->opp = S->opps + p * W;
+    S->probes = 0;
+    memset(S->touched, 0, W * sizeof(word));
+    ADD(S->touched, seed);
+    f->mem = S->masks;
     f->proc = f->mem + W;
     f->com = f->proc + W;
     memset(f->mem, 0, 3 * W * sizeof(word));
     ADD(f->mem, seed);
     ADD(f->com, seed);
-    S.nframes = 1;
-    if (HAS(S.opp, seed))
-        pull(&S, seed, f->com);
-    found = !(HAS(S.opp, seed) && over(&S, f->com)) && run(&S);
-    res = found ? from_words(S.frames[S.nframes - 1].mem, W) : Py_NewRef(Py_None);
-    touched = res ? from_words(S.touched, W) : NULL;
+    S->nframes = 1;
+    if (!HAS(S->opp, seed))
+        return run(S);
+    pull(S, seed, f->com);
+    return !over(S, f->com) && run(S);
+}
+
+static PyObject *
+search(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *packed, *alive, *budget, *res, *touched, *out = NULL;
+    Search S;
+    long long b;
+    int32_t seed;
+    int p, overflow, found;
+    if (!PyArg_ParseTuple(args, "SOiiO", &packed, &alive, &seed, &p, &budget))
+        return NULL;
+    b = PyLong_AsLongLongAndOverflow(budget, &overflow);
+    if (b == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        b = overflow > 0 ? LLONG_MAX : -1;
+    if (prepare(&S, packed, alive, b) < 0)
+        return NULL;
+    if (seed < 0 || seed >= S.a.n || (p != 0 && p != 1)) {
+        PyErr_SetString(PyExc_ValueError, "seed or player out of range");
+        goto finish;
+    }
+    found = start(&S, seed, p);
+    res = found ? from_words(S.frames[S.nframes - 1].mem, S.W) : Py_NewRef(Py_None);
+    touched = res ? from_words(S.touched, S.W) : NULL;
     if (touched)
         out = Py_BuildValue("(OOL)", res, touched, S.probes);
     Py_XDECREF(res);
     Py_XDECREF(touched);
+finish:
+    free(S.alive);
+    return out;
+}
+
+/* ------------------------------------------------------------------------
+ * the dominion record: a kernel-owned table that lives for one solve
+ *
+ * It keeps, per (seed, p, budget), the last search scan ran for it, as
+ * _find_dominion_mask_py's dict does: its probes, whether it found a
+ * closure, and three masks, touched, alive & touched and the closure.
+ * All three lie in touched (the seed and the successors the search
+ * read), so each is stored only over touched's span of words, lo up to
+ * its last non-zero word: on a chain an entry is a word or two, not n
+ * bits.  The masks are carved from chunks of CHUNK_WORDS words (or one
+ * chunk of its own, for a wider entry), which never move, so no entry is
+ * copied and no chunk is freed before the record.  An entry keeps its
+ * words when a search overwrites it, unless the new span is wider, and
+ * then takes new ones.  The table is open-addressed with linear
+ * probing, doubles its slots when three quarters full, and binds itself
+ * to the n of the first arena a scan hands it, so a span never reaches
+ * past an alive mask's W words. */
+
+typedef struct {
+    long long budget, probes;
+    word *masks; /* 3 cap words: touched, alive & touched, the closure */
+    int32_t seed;
+    int8_t p, found; /* p < 0: an empty slot */
+    int32_t lo, span, cap; /* touched's words lo .. lo + span */
+} Entry;
+
+typedef struct Chunk {
+    struct Chunk *next;
+    Py_ssize_t used, size;
+    word words[];
+} Chunk;
+
+typedef struct {
+    int32_t n;
+    Py_ssize_t size, used;
+    Entry *slots;
+    Chunk *chunks; /* the newest first */
+} Record;
+
+#define RECORD_NAME "paritylab._kernel.record"
+#define FIRST_SLOTS 64
+#define CHUNK_WORDS 4096
+
+static void
+drop_record(PyObject *capsule)
+{
+    Record *R = PyCapsule_GetPointer(capsule, RECORD_NAME);
+    while (R->chunks) {
+        Chunk *next = R->chunks->next;
+        free(R->chunks);
+        R->chunks = next;
+    }
+    free(R->slots);
+    free(R);
+}
+
+static PyObject *
+record(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+{
+    PyObject *capsule;
+    Record *R = calloc(1, sizeof *R);
+    if (!R)
+        return PyErr_NoMemory();
+    capsule = PyCapsule_New(R, RECORD_NAME, drop_record);
+    if (!capsule)
+        free(R);
+    return capsule;
+}
+
+static Py_ssize_t
+slot_of(const Record *R, int32_t seed, int p, long long budget)
+{
+    /* the slot of (seed, p, budget), or the empty slot it would take */
+    uint64_t h = ((uint64_t)seed << 1 | (uint64_t)p) * 0x9E3779B97F4A7C15ull ^ (uint64_t)budget * 0xC2B2AE3D27D4EB4Full;
+    Py_ssize_t i = (Py_ssize_t)(h >> 32) & (R->size - 1);
+    for (;; i = (i + 1) & (R->size - 1)) {
+        const Entry *e = &R->slots[i];
+        if (e->p < 0 || (e->seed == seed && e->p == p && e->budget == budget))
+            return i;
+    }
+}
+
+static int
+make_room(Record *R)
+{
+    /* room for one more entry with the table at most three quarters
+     * full; -1 with MemoryError */
+    Entry *old = R->slots;
+    Py_ssize_t old_size = R->size, i;
+    if (4 * (R->used + 1) <= 3 * old_size)
+        return 0;
+    R->size = old_size ? 2 * old_size : FIRST_SLOTS;
+    R->slots = (size_t)R->size <= PY_SSIZE_T_MAX / sizeof(Entry) ? malloc(R->size * sizeof(Entry)) : NULL;
+    if (!R->slots) {
+        R->slots = old;
+        R->size = old_size;
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < R->size; i++)
+        R->slots[i].p = -1;
+    for (i = 0; i < old_size; i++)
+        if (old[i].p >= 0)
+            R->slots[slot_of(R, old[i].seed, old[i].p, old[i].budget)] = old[i];
+    free(old);
+    return 0;
+}
+
+static word *
+take(Record *R, Py_ssize_t k)
+{
+    /* k words from the newest chunk, or from a new one; NULL with
+     * MemoryError */
+    Chunk *c = R->chunks;
+    if (!c || c->used + k > c->size) {
+        Py_ssize_t size = k > CHUNK_WORDS ? k : CHUNK_WORDS;
+        c = (size_t)size <= (PY_SSIZE_T_MAX - sizeof(Chunk)) / sizeof(word) ? malloc(sizeof(Chunk) + size * sizeof(word)) : NULL;
+        if (!c)
+            return (word *)PyErr_NoMemory();
+        c->next = R->chunks;
+        c->used = 0;
+        c->size = size;
+        R->chunks = c;
+    }
+    c->used += k;
+    return c->words + c->used - k;
+}
+
+static int
+replays(const Entry *e, const word *alive)
+{
+    /* whether alive still agrees with e's search on e's touched mask */
+    const word *touched = e->masks, *at = touched + e->cap;
+    int32_t i;
+    for (i = 0; i < e->span; i++)
+        if ((alive[e->lo + i] & touched[i]) != at[i])
+            return 0;
+    return 1;
+}
+
+static int
+keep(Record *R, Py_ssize_t slot, const Search *S, int found)
+{
+    /* store the search S just ran in slot, over touched's span of words,
+     * in place of what the slot held; -1 with MemoryError */
+    Entry *e = &R->slots[slot];
+    const word *res = found ? S->frames[S->nframes - 1].mem : NULL;
+    int32_t lo = 0, hi = (int32_t)S->W - 1, i;
+    while (!S->touched[lo]) /* touched holds the seed */
+        lo++;
+    while (!S->touched[hi])
+        hi--;
+    if (e->p < 0 || hi - lo + 1 > e->cap) {
+        word *masks = take(R, 3 * (Py_ssize_t)(hi - lo + 1));
+        if (!masks)
+            return -1;
+        if (e->p < 0)
+            R->used++;
+        e->masks = masks;
+        e->cap = hi - lo + 1;
+    }
+    e->seed = S->seed;
+    e->p = (int8_t)S->p;
+    e->budget = S->budget;
+    e->lo = lo;
+    e->span = hi - lo + 1;
+    e->probes = S->probes;
+    e->found = (int8_t)found;
+    for (i = 0; i < e->span; i++) {
+        e->masks[i] = S->touched[lo + i];
+        e->masks[e->cap + i] = S->alive[lo + i] & S->touched[lo + i];
+        e->masks[2 * e->cap + i] = res ? res[lo + i] : 0;
+    }
+    return 0;
+}
+
+static PyObject *
+scan(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *packed, *capsule, *alive, *budget, *players, *seq, **items, *res, *out = NULL;
+    Record *R;
+    Search S;
+    Py_ssize_t np, i, k;
+    long long b, probes = 0, replayed = 0;
+    int overflow;
+    if (!PyArg_ParseTuple(args, "SO!OOO", &packed, &PyCapsule_Type, &capsule, &alive, &budget, &players))
+        return NULL;
+    R = PyCapsule_GetPointer(capsule, RECORD_NAME);
+    if (!R)
+        return NULL;
+    b = PyLong_AsLongLongAndOverflow(budget, &overflow);
+    if (b == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow < 0) {
+        PyErr_SetString(PyExc_OverflowError, "a budget below -2**63 has no key in the record");
+        return NULL;
+    }
+    if (overflow)
+        b = LLONG_MAX;
+    seq = PySequence_Fast(players, "players must be a sequence");
+    if (!seq)
+        return NULL;
+    np = PySequence_Fast_GET_SIZE(seq);
+    items = PySequence_Fast_ITEMS(seq);
+    for (k = 0; k < np; k++) {
+        long q = PyLong_Check(items[k]) ? PyLong_AsLong(items[k]) : -1;
+        if (q != 0 && q != 1) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "player out of range");
+            Py_DECREF(seq);
+            return NULL;
+        }
+    }
+    if (prepare(&S, packed, alive, b) < 0) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    if (R->n && R->n != S.a.n) {
+        PyErr_SetString(PyExc_ValueError, "the record belongs to an arena of another size");
+        goto finish;
+    }
+    R->n = S.a.n;
+    /* seeds ascending, players in the order given, as _find_dominion_mask_py */
+    for (i = 0; i < S.W; i++) {
+        word m = S.alive[i];
+        while (m) {
+            int32_t seed = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+            for (k = 0; k < np; k++) {
+                int p = (int)PyLong_AsLong(items[k]);
+                Py_ssize_t slot;
+                Entry *e;
+                if (make_room(R) < 0)
+                    goto finish;
+                slot = slot_of(R, seed, p, S.budget);
+                e = &R->slots[slot];
+                if (e->p >= 0 && replays(e, S.alive))
+                    replayed++;
+                else if (keep(R, slot, &S, start(&S, seed, p)) < 0)
+                    goto finish;
+                probes += e->probes;
+                if (e->found) {
+                    /* the closure back to W words, in seen */
+                    memset(S.seen, 0, S.W * sizeof(word));
+                    memcpy(S.seen + e->lo, e->masks + 2 * e->cap, e->span * sizeof(word));
+                    res = from_words(S.seen, S.W);
+                    if (res) {
+                        out = Py_BuildValue("(OiLL)", res, p, probes, replayed);
+                        Py_DECREF(res);
+                    }
+                    goto finish;
+                }
+            }
+        }
+    }
+    out = Py_BuildValue("(OOLL)", Py_None, Py_None, probes, replayed);
+finish:
+    Py_DECREF(seq);
     free(S.alive);
     return out;
 }
@@ -740,12 +1059,18 @@ static PyMethodDef methods[] = {
      "first_scc(arena, alive) -> (f, strong), the two closures of solver._first_scc_py"},
     {"search", search, METH_VARARGS,
      "search(arena, alive, seed, p, budget) -> (result, touched, probes), as solver._search_py"},
+    {"record", record, METH_NOARGS,
+     "record() -> a dominion record for one solve, the kernel's twin of solver._find_dominion_mask_py's dict"},
+    {"scan", scan, METH_VARARGS,
+     "scan(arena, record, alive, budget, players) -> (result, p, probes, replays), "
+     "the scan and replay loop of solver._find_dominion_mask_py"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "The SCC layer's closure check and the bounded dominion search, compiled.", -1, methods,
+    "The solver's plain step, the SCC layer's closure check, and the dominion layer's bounded search "
+    "with its scan and replay loop, compiled.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

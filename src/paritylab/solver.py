@@ -27,8 +27,10 @@ Three independently switchable layers wrap it:
   keeps, per seed, player and size bound, the last search it ran and
   replays it (its result, plus its probes on the counter) when the
   alive set has not changed on that search's ``touched`` mask.  The
-  search runs compiled (``_kernel.c``) where the system gcc can build
-  it, with the Python search as its reference and fallback.
+  search, and the scan and replay loop with its record, run compiled
+  (``_kernel.c``) where the system gcc can build them, with
+  ``_search_py`` and ``_find_dominion_mask_py`` as their reference and
+  fallback.
   ``is_dominion`` certifies a given candidate: a trap for the
   opponent under core's one-step forcing rule that a plain solve of it
   gives to the player.
@@ -359,17 +361,19 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
 # the compiled kernel
 #
 # ``_kernel.c`` runs ``_left_mask``, ``_right_mask``, both closures of
-# ``_first_scc_py`` and the whole of ``_search_py`` on W-word bitsets,
-# and returns what they need or give.  It is built with the system gcc
-# on the first solve of a process, never at import, and cached under
-# $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
+# ``_first_scc_py``, the whole of ``_search_py``, and the loop of
+# ``_find_dominion_mask_py`` on a record it owns for one solve, all on
+# W-word bitsets, and returns what they need or give.  It is built with
+# the system gcc on the first solve of a process, never at import, and
+# cached under $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
 # ``_kernel-<sha256 of the source><extension suffix>``.  ``_kernel`` is
 # False until that first use, then the loaded module, or None when the
 # build or the load failed: one attempt per process, and the Python
 # functions run from then on.  Tests set it to None to force the Python
-# path.  The SCC and dominion branches of a call attract with the
-# Python ``_attractor_mask``: their seeds are mostly small, and a kernel
-# call costs more than a Python attractor of one position.
+# path.  Around the kernel's calls, the recursion, the memo, the
+# ``_scc_masks`` fallback and the attractors of the SCC and dominion
+# branches stay Python: those branches' seeds are mostly small, and a
+# kernel call costs more than a Python attractor of one position.
 
 _kernel: object = False
 
@@ -502,14 +506,36 @@ def _find_dominion_mask(
     max_size: int,
     players: tuple[int, ...],
     stats: SolveStats,
+    record: object,
+) -> Optional[tuple[int, int]]:
+    """The first dominion of at most ``max_size`` positions, with its
+    player, by ``_find_dominion_mask_py``'s scan: in the compiled kernel's
+    ``scan`` when ``record`` is the kernel's, in Python when it is a dict.
+    A fresh record makes every search run."""
+    if isinstance(record, dict):
+        return _find_dominion_mask_py(game, alive, max_size, players, stats, record)
+    found, p, probes, replays = _kernel.scan(game.packed or _pack(game), record, alive, max_size, players)
+    stats.dominion_probes += probes
+    stats.dominion_replays += replays
+    return None if found is None else (found, p)
+
+
+def _find_dominion_mask_py(
+    game: ParityGame,
+    alive: int,
+    max_size: int,
+    players: tuple[int, ...],
+    stats: SolveStats,
     record: dict[int, tuple[int, int, Optional[int], int]],
 ) -> Optional[tuple[int, int]]:
     # ``record`` maps (seed, p, budget), packed into one int, to the last
     # search run for it: (touched, alive & touched, result, probes).  An
     # entry whose alive bits still agree on ``touched`` is replayed: its
-    # result is reused and its probes are added.  A fresh ``{}`` makes
-    # every search run.
-    base = max_size * game.n
+    # result is reused and its probes are added.  A budget of n or more
+    # is keyed as n, as the kernel keys it: no probe commits more than n
+    # positions, so such a budget never prunes and searches cannot tell
+    # those budgets apart.
+    base = min(max_size, game.n) * game.n
     m = alive
     while m:
         low = m & -m
@@ -552,7 +578,9 @@ def find_dominion(
         _require_player(p)
     if stats is None:
         stats = SolveStats()
-    found = _find_dominion_mask(g.game, g.alive.mask, max_size, players, stats, {})
+    kernel = _kernel if _kernel is not False else _load_kernel()
+    record = {} if kernel is None else kernel.record()
+    found = _find_dominion_mask(g.game, g.alive.mask, max_size, players, stats, record)
     if found is None:
         return None
     d, p = found
@@ -638,12 +666,15 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     """
     game = g.game
     # the plain step: its two halves from the kernel on the packed arena,
-    # or their Python twins on the game
+    # or their Python twins on the game; and the dominion searches already
+    # run, for replaying (see _find_dominion_mask), in the kernel's record
+    # or a dict
     kernel = _kernel if _kernel is not False else _load_kernel()
     if kernel is None:
-        arena, left, right = game, _left_mask, _right_mask
+        arena, left, right, record = game, _left_mask, _right_mask, {}
     else:
         arena, left, right = game.packed or _pack(game), kernel.left, kernel.right
+        record = kernel.record()
     stats = SolveStats()
     memo = cfg.memoization
     # every entered alive mask; with memoization, mapped to its w0 once
@@ -653,8 +684,6 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
-    # the dominion searches already run, for replaying (see _find_dominion_mask)
-    record: dict[int, tuple[int, int, Optional[int], int]] = {}
 
     def call(alive: int, lo: int, strong: bool) -> Generator[tuple[int, int, bool], int, int]:
         # one call on a non-empty alive set that no priority level before

@@ -2,11 +2,12 @@
 
 Each test covers one advertised guarantee, prints exactly one
 ``criterion NN PASS|FAIL`` line (run with ``pytest -s`` to see them) and
-then enforces it.  Two structural claims about the connector family and
-one wall-clock budget are known not to hold on this implementation of
-the construction; those tests print FAIL with the measured evidence and
-finish as expected failures so they stay visible without being papered
-over.  README.md discusses all three.
+then enforces it.  Two structural claims about the connector family are
+known not to hold on this implementation of the construction, and one
+wall-clock budget holds only with the compiled kernel, and not always
+then; those tests print FAIL with the measured evidence and finish as
+expected failures so they stay visible without being papered over.
+README.md discusses all three.
 """
 
 from time import perf_counter
@@ -59,25 +60,26 @@ def test_criterion_01_family_shape():
 def test_criterion_02_winner():
     t0 = perf_counter()
     losses = []
+    per_variant = dict.fromkeys(VARIANTS, 0.0)
     for gen, fam in ((gen_core, "core"), (gen_scc, "scc")):
         for k in range(1, 11):
             sub = Subgame.whole(gen(k))
             for name, cfg in VARIANTS.items():
-                regions, _ = solve(sub, cfg)
+                regions, stats = solve(sub, cfg)
+                per_variant[name] += stats.wall_time
                 if regions.w1:
                     losses.append(f"{fam} k={k} {name}")
     elapsed = perf_counter() - t0
     assert not losses, f"player 1 wins somewhere: {losses}"
     ok = elapsed < 10.0
+    shares = ", ".join(f"{name} {s:.1f}s" for name, s in per_variant.items())
     _line(
         2,
         ok,
         "winner",
-        f"W1 empty for 100 solves, {elapsed:.2f}s < 10s"
+        f"W1 empty for 100 solves, {elapsed:.2f}s < 10s ({shares})"
         if ok
-        else f"W1 empty for all 100 solves but took {elapsed:.1f}s > 10s budget "
-        "(single CPU; memo+scc+dom takes the largest share: its dominion search "
-        "scans every subgame of the dense connector family at k=9..10)",
+        else f"W1 empty for all 100 solves but took {elapsed:.1f}s > 10s budget (single CPU; {shares})",
     )
     if not ok:
         pytest.xfail(f"wall budget exceeded: {elapsed:.1f}s > 10s, answers all correct")

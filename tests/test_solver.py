@@ -408,25 +408,108 @@ def test_scc_layer_decomposes_nothing_on_a_chain(monkeypatch):
     assert (stats.total_calls, stats.distinct_subgames, stats.max_depth) == (2 * n + 1, n + 2, 3)
 
 
+def _new_record(backend):
+    # one backend's record maker: the kernel's record, or the Python dict
+    if backend == "python":
+        return dict
+    return _compiled().record
+
+
+def _scan_both(g, alive, bound, players, records):
+    # one scan through ``_find_dominion_mask`` on the record ``records[0]``
+    # and one through the Python twin on the dict ``records[1]``: both
+    # answers, probes and replays must agree
+    got, want = SolveStats(), SolveStats()
+    found = solver._find_dominion_mask(g, alive, bound, players, got, records[0])
+    assert found == solver._find_dominion_mask_py(g, alive, bound, players, want, records[1]), (alive, bound, players)
+    assert (got.dominion_probes, got.dominion_replays) == (want.dominion_probes, want.dominion_replays)
+    return found, got
+
+
+@pytest.mark.parametrize("backend", ["python", "kernel"])
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 10_000), st.integers(1, 6), st.data())
-def test_dominion_replay_matches_a_fresh_scan(n, seed, fixed, data):
+def test_dominion_replay_matches_a_fresh_scan(backend, n, seed, fixed, data):
     # a chain of nested alive sets, as the recursion makes them; each set
     # is scanned with the bound its size gives and with a fixed bound, so
-    # later scans meet records of earlier ones under the same key
+    # later scans meet records of earlier ones under the same key.  The
+    # backend's record must answer as a fresh one and replay exactly as
+    # the Python dict record does over the same alive sets
+    new_record = _new_record(backend)
     g = gen_random(n, seed)
-    record = {}
+    records = (new_record(), {})
     alive = g.full_mask
     while alive:
         for bound in (default_dominion_bound(alive.bit_count()), fixed):
-            shared, fresh = SolveStats(), SolveStats()
-            got = solver._find_dominion_mask(g, alive, bound, (0, 1), shared, record)
-            want = solver._find_dominion_mask(g, alive, bound, (0, 1), fresh, {})
-            assert got == want
-            assert shared.dominion_probes == fresh.dominion_probes
+            found, shared = _scan_both(g, alive, bound, (0, 1), records)
+            fresh = SolveStats()
+            assert solver._find_dominion_mask(g, alive, bound, (0, 1), fresh, new_record()) == found
+            assert (fresh.dominion_probes, fresh.dominion_replays) == (shared.dominion_probes, 0)
         members = [v for v in range(g.n) if alive >> v & 1]
         for v in data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3)):
             alive &= ~(1 << v)
+
+
+@st.composite
+def _scan_cases(draw):
+    # a game and a chain of nested alive sets.  Half the games have at
+    # most 9 positions; the other half have 63, 64, 65, 128 or 129, with
+    # at most 9 spots on both sides of the word edges that every move
+    # leads into, so the Python search stays cheap at budgets up to n
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        g = gen_random(n, draw(st.integers(0, 10_000)))
+        spots = list(range(n))
+    else:
+        n = draw(st.sampled_from([63, 64, 65, 128, 129]))
+        edges = [v for v in (0, 1, 62, 63, 64, 65, 126, 127, 128) if v < n]
+        spots = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=9, unique=True))
+        successors = [draw(st.lists(st.sampled_from(spots), min_size=1, max_size=3, unique=True)) for _ in range(n)]
+        owners = [draw(st.integers(0, 1)) for _ in range(n)]
+        g = mk(owners, [draw(st.integers(0, 2 * n)) for _ in range(n)], successors)
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    alive = sum(1 << v for v in {*spots, *extra})
+    chain = [alive]
+    while alive:
+        members = [v for v in range(n) if alive >> v & 1]
+        alive &= ~sum(1 << v for v in draw(st.lists(st.sampled_from(members), min_size=1, max_size=3, unique=True)))
+        chain.append(alive)
+    return g, chain[:-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases())
+def test_kernel_scan_matches_the_python_scan(case):
+    # one kernel record and one dict record over the same alive sets:
+    # every budget the key rule distinguishes or folds (n, n + 1 and 2**70
+    # all key as n), and every player order, repeats and none included
+    kernel = _compiled()
+    g, chain = case
+    records = (kernel.record(), {})
+    for alive in chain:
+        for bound in (default_dominion_bound(alive.bit_count()), *range(1, 7), g.n, g.n + 1, 2**70):
+            for players in ((0, 1), (1, 0), (0,), (1,), (0, 0), ()):
+                _scan_both(g, alive, bound, players, records)
+
+
+def test_kernel_record_grows_replays_and_overwrites():
+    # a 200-cycle of player-0 positions of priority 1 has no dominion of
+    # size 1, so a scan at budget 1 keeps 400 entries, far past the
+    # record's first slots, and a second scan replays all of them.  With
+    # position 100 gone, seeds 0..98 replay; seed 99's two entries touched
+    # 100, so both are searched again and overwritten, and position 99,
+    # left without a move, is player 1's
+    kernel = _compiled()
+    n = 200
+    g = mk([0] * n, [1] * n, [[(v + 1) % n] for v in range(n)])
+    records = (kernel.record(), {})
+    for alive, found, replays in (
+        (g.full_mask, None, 0),
+        (g.full_mask, None, 2 * n),
+        (g.full_mask & ~(1 << 100), (1 << 99, 1), 2 * 99),
+    ):
+        got, stats = _scan_both(g, alive, 1, (0, 1), records)
+        assert (got, stats.dominion_replays) == (found, replays)
 
 
 def _searcher(backend):
@@ -580,15 +663,16 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# loads the build named by argv[1] and checks all four kernel functions
+# loads the build named by argv[1] and checks every kernel function
 # against the Python references: word-edge games with each alive seed,
 # both players and budgets from -1 up, every valid level cursor, alive
 # masks with bits only past n, and a 3,000-cycle whose search fills the
-# frame stack
+# frame stack; the scans run one record over nested alive sets, so its
+# entries are replayed, overwritten and outgrow the first slots
 _SANITIZED_RUN = """
 import random, sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
-from paritylab import ParityGame, core, solver
+from paritylab import ParityGame, SolveStats, core, solver
 
 loader = ExtensionFileLoader("paritylab._kernel", sys.argv[1])
 kernel = loader.create_module(ModuleSpec("paritylab._kernel", loader, origin=sys.argv[1]))
@@ -626,18 +710,54 @@ def check(g, alive, seeds, players, budgets):
                 got = kernel.search(arena, alive, seed, p, budget)
                 assert got == solver._search_py(g, alive, seed, p, budget), (g.n, alive, seed, p, budget)
                 searches += 1
+    if past:
+        assert kernel.scan(arena, kernel.record(), past, 3, (0, 1)) == (None, None, 0, 0)
+
+
+def scan(g, chain, budgets, orders):
+    # one kernel record and one dict record over the same alive sets
+    global searches
+    arena = solver._pack(g)
+    records = (kernel.record(), {})
+    for alive in chain:
+        for budget in budgets:
+            for players in orders:
+                stats = SolveStats()
+                found = solver._find_dominion_mask_py(g, alive, budget, players, stats, records[1])
+                want = (*(found or (None, None)), stats.dominion_probes, stats.dominion_replays)
+                assert kernel.scan(arena, records[0], alive, budget, players) == want, (g.n, alive, budget, players)
+                searches += 1
+
+
+def nested(g, alive, rng):
+    # alive, then ever smaller subsets of it, as the recursion makes them
+    chain = []
+    while alive:
+        chain.append(alive)
+        members = [v for v in range(g.n) if alive >> v & 1]
+        alive &= ~sum(1 << v for v in rng.sample(members, len(members) // 5 + 1))
+    return chain
 
 
 for n in (1, 9, 63, 64, 65, 128, 129):
     rng = random.Random(n)
     successors = [[v] if v % 3 == 0 else rng.sample(range(n), min(n, 3)) for v in range(n)]
     g = ParityGame([rng.randrange(2) for _ in range(n)], [rng.randrange(2 * n) for _ in range(n)], successors)
+    budgets = (-1, 0, 1, 3, n, n + 1, 2**70) if n <= 9 else (-1, 0, 1, 3)
     for alive in (g.full_mask, rng.randint(1, g.full_mask)):
         seeds = [v for v in range(n) if alive >> v & 1]
-        check(g, alive, seeds, (0, 1), (-1, 0, 1, 3, n, 2**70) if n <= 9 else (-1, 0, 1, 3))
+        check(g, alive, seeds, (0, 1), budgets)
+        scan(g, nested(g, alive, rng), budgets, ((0, 1), (1, 0), (0, 0), ()))
 n = 3000
 g = ParityGame([0] * n, [0] * n, [[(v + 1) % n] for v in range(n)])
 check(g, g.full_mask, [0], [0], [n, 2**70])
+scan(g, nested(g, g.full_mask, rng), [n, 2**70], [(0,)])
+# seed 0's entry first spans one word; with 2 and n - 1 alive too, its
+# search reads n - 1, so the entry is overwritten over all W words, 3 W
+# words in all, more than a chunk holds, and then replayed
+n = 64 * 1400
+g = ParityGame([0] * n, [0] * n, [[1], [2], [n - 1]] + [[2]] * (n - 3))
+scan(g, [0b11, 0b111 | 1 << n - 1, 0b111 | 1 << n - 1], [5], [(1,)])
 print(searches)
 """
 
@@ -793,6 +913,7 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
         # a bit as its start position and read offsets past the arena)
         assert kernel.first_scc(arena, past) == (0, True)
         assert kernel.search(arena, past, 0, 0, 2) == solver._search_py(g, 0, 0, 0, 2)
+        assert kernel.scan(arena, kernel.record(), past, 2, (0, 1)) == (None, None, 0, 0)
         with pytest.raises(ValueError, match="no position"):
             kernel.left(arena, past, 0)
         assert kernel.right(arena, past, past, past, 0) is past
@@ -800,8 +921,10 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
         kernel.left(arena, full, -1)
     with pytest.raises(ValueError, match="player"):
         kernel.right(arena, full, 1, 1, 2)
+    assert kernel.scan(arena, kernel.record(), top - 1, 2, (0, 1)) == kernel.scan(arena, kernel.record(), full, 2, (0, 1))
     calls = (
         lambda mask: kernel.search(arena, mask, 0, 0, 1),
+        lambda mask: kernel.scan(arena, kernel.record(), mask, 1, (0, 1)),
         lambda mask: kernel.first_scc(arena, mask),
         lambda mask: kernel.left(arena, mask, 0),
         lambda mask: kernel.right(arena, mask, 1, 1, 0),
@@ -815,6 +938,29 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
         for mask in (1.0, "1", None):
             with pytest.raises(TypeError):
                 call(mask)
+
+
+def test_kernel_scan_rejects_bad_arguments():
+    # a player other than 0 or 1, a record that is not the kernel's or
+    # was first used on an arena of another size, and a budget no key
+    # holds; a budget past every int64 is keyed as n
+    kernel = _compiled()
+    g, other = gen_random(9, 9), gen_random(10, 10)
+    arena = solver._pack(g)
+    record = kernel.record()
+    for players in ((2,), (0, -1), ("0",), (2**70,)):
+        with pytest.raises((ValueError, OverflowError)):
+            kernel.scan(arena, record, g.full_mask, 3, players)
+    with pytest.raises(TypeError):
+        kernel.scan(arena, record, g.full_mask, 3, 0)
+    with pytest.raises(TypeError):
+        kernel.scan(arena, {}, g.full_mask, 3, (0, 1))
+    kernel.scan(arena, record, g.full_mask, 3, (0, 1))
+    with pytest.raises(ValueError, match="another size"):
+        kernel.scan(solver._pack(other), record, other.full_mask, 3, (0, 1))
+    with pytest.raises(OverflowError):
+        kernel.scan(arena, record, g.full_mask, -(2**70), (0, 1))
+    assert kernel.scan(arena, record, g.full_mask, 2**70, (0, 1)) == kernel.scan(arena, kernel.record(), g.full_mask, 9, (0, 1))
 
 
 def _arena(g):
@@ -853,8 +999,9 @@ def test_the_arena_holds_both_move_lists(n):
 
 
 def test_both_kernel_functions_reject_a_short_arena():
-    # all four entries, on an arena cut short or whose level count L
-    # (the first int after the predecessor lists) disagrees with its size
+    # every entry that reads an arena, on one cut short or whose level
+    # count L (the first int after the predecessor lists) disagrees with
+    # its size
     kernel = _compiled()
     g = gen_random(9, 9)
     packed = g.packed or solver._pack(g)
@@ -868,16 +1015,22 @@ def test_both_kernel_functions_reject_a_short_arena():
             lambda: kernel.first_scc(arena, g.full_mask),
             lambda: kernel.left(arena, g.full_mask, 0),
             lambda: kernel.right(arena, g.full_mask, 1, 2, 0),
+            lambda: kernel.scan(arena, kernel.record(), g.full_mask, 3, (0, 1)),
         ):
             with pytest.raises(ValueError, match="^malformed packed arena$"):
                 call()
 
 
 def test_kernel_comments_name_only_what_exists():
-    # every ``_name`` the kernel's comments cite is a solver or core attribute
+    # every ``_name`` the kernel's comments and its method and module doc
+    # strings cite is a solver or core attribute, so renaming a Python
+    # twin fails here
     source = Path(solver.__file__).with_name("_kernel.c").read_text()
-    comments = " ".join(re.findall(r"/\*.*?\*/", source, re.S))
-    cited = set(re.findall(r"\b_[a-z]\w*", comments))
+    comments = re.findall(r"/\*.*?\*/", source, re.S)
+    tables = source[source.index("static PyMethodDef methods[]") :]
+    docs = re.findall(r'"((?:[^"\\]|\\.)*)"', tables)
+    assert any("solver._left_mask" in doc for doc in docs)
+    cited = set(re.findall(r"\b_[a-z]\w*", " ".join(comments + docs)))
     assert cited
     missing = {name for name in cited if not hasattr(solver, name) and not hasattr(core, name)}
     assert missing == set()
@@ -921,8 +1074,8 @@ def _count_builds(monkeypatch):
 
 def test_without_a_compiler_the_python_search_runs(monkeypatch, tmp_path):
     # the first solve tries the build, then plain steps, SCC checks and
-    # dominion searches follow: one build attempt serves all four kernel
-    # functions
+    # dominion scans follow: one build attempt serves every kernel
+    # function
     cache = tmp_path / "cache"
     monkeypatch.setenv("PATH", str(tmp_path / "no-gcc-here"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))

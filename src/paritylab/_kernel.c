@@ -1,7 +1,8 @@
 /* The hot spots of solver.py, compiled: the plain step of the recursion
- * (``_left_mask`` and ``_right_mask``), the SCC layer's closure check
- * (``_first_scc_py``), and the dominion layer's bounded search
- * (``_search_py``) with its scan and replay loop
+ * (``_left_mask`` and ``_right_mask``) and, without the SCC and dominion
+ * layers, the whole recursion with its seen table and memo, the SCC
+ * layer's closure check (``_first_scc_py``), and the dominion layer's
+ * bounded search (``_search_py``) with its scan and replay loop
  * (``_find_dominion_mask_py``).
  *
  * ``left(arena, alive, lo)`` returns ``(p, i, holders, a)``: the level
@@ -26,8 +27,13 @@
  * and searched again otherwise, its entry overwritten.  It returns
  * ``(result, p, probes, replays)``, with result and p None when no
  * dominion is found.  It reads alive and builds both opponent masks once
- * per call, and all its searches share one block.  Masks are W-word
- * bitsets with W = ceil(n / 64).  The arena is the bytes object
+ * per call, and all its searches share one block.  ``solve(arena, alive,
+ * memo, limit)`` runs the recursion of solver.solve for a configuration
+ * with neither the SCC nor the dominion layer, memoized when memo is
+ * true and stopped once more than limit calls are entered (None: never),
+ * and returns ``(w0, total_calls, distinct, memo_hits, max_depth,
+ * stopped)``, w0 None when stopped.  Masks are W-word bitsets with
+ * W = ceil(n / 64).  The arena is the bytes object
  * ``solver._pack`` builds once per game, native int32s:
  *
  *     n, m, off[n + 1], tgt[m], rank[n], par[n], own[n], poff[n + 1], ptgt[m],
@@ -42,6 +48,8 @@
  * A plain step reads no more of the arena than the Python step reads of
  * the game, so on a chain a call costs the same at any depth beyond its
  * W-word masks, and no pass over W words is made per attractor layer.
+ * ``left`` and ``right`` and each call of ``solve`` run the same two
+ * halves, left_half and right_half, with the same attractor.
  * ``left`` scans the levels from lo as ``_max_priority_mask`` does, at
  * most as many levels as alive has positions, and here also at most that
  * many positions in all, then takes the least rank over alive; it reads
@@ -583,14 +591,40 @@ typedef struct {
 #define CHUNK_WORDS 4096
 
 static void
+drop_chunks(Chunk *c)
+{
+    while (c) {
+        Chunk *next = c->next;
+        free(c);
+        c = next;
+    }
+}
+
+static word *
+take(Chunk **chunks, Py_ssize_t k)
+{
+    /* k words from the newest chunk, or from a new one; NULL with
+     * MemoryError */
+    Chunk *c = *chunks;
+    if (!c || c->used + k > c->size) {
+        Py_ssize_t size = k > CHUNK_WORDS ? k : CHUNK_WORDS;
+        c = (size_t)size <= (PY_SSIZE_T_MAX - sizeof(Chunk)) / sizeof(word) ? malloc(sizeof(Chunk) + size * sizeof(word)) : NULL;
+        if (!c)
+            return (word *)PyErr_NoMemory();
+        c->next = *chunks;
+        c->used = 0;
+        c->size = size;
+        *chunks = c;
+    }
+    c->used += k;
+    return c->words + c->used - k;
+}
+
+static void
 drop_record(PyObject *capsule)
 {
     Record *R = PyCapsule_GetPointer(capsule, RECORD_NAME);
-    while (R->chunks) {
-        Chunk *next = R->chunks->next;
-        free(R->chunks);
-        R->chunks = next;
-    }
+    drop_chunks(R->chunks);
     free(R->slots);
     free(R);
 }
@@ -647,25 +681,6 @@ make_room(Record *R)
     return 0;
 }
 
-static word *
-take(Record *R, Py_ssize_t k)
-{
-    /* k words from the newest chunk, or from a new one; NULL with
-     * MemoryError */
-    Chunk *c = R->chunks;
-    if (!c || c->used + k > c->size) {
-        Py_ssize_t size = k > CHUNK_WORDS ? k : CHUNK_WORDS;
-        c = (size_t)size <= (PY_SSIZE_T_MAX - sizeof(Chunk)) / sizeof(word) ? malloc(sizeof(Chunk) + size * sizeof(word)) : NULL;
-        if (!c)
-            return (word *)PyErr_NoMemory();
-        c->next = R->chunks;
-        c->used = 0;
-        c->size = size;
-        R->chunks = c;
-    }
-    c->used += k;
-    return c->words + c->used - k;
-}
 
 static int
 replays(const Entry *e, const word *alive)
@@ -692,7 +707,7 @@ keep(Record *R, Py_ssize_t slot, const Search *S, int found)
     while (!S->touched[hi])
         hi--;
     if (e->p < 0 || hi - lo + 1 > e->cap) {
-        word *masks = take(R, 3 * (Py_ssize_t)(hi - lo + 1));
+        word *masks = take(&R->chunks, 3 * (Py_ssize_t)(hi - lo + 1));
         if (!masks)
             return -1;
         if (e->p < 0)
@@ -857,29 +872,31 @@ first_scc(PyObject *Py_UNUSED(module), PyObject *args)
     return out;
 }
 
-/* a plain-step call's one block: alive, the holders, the attractor,
- * the worklist's done and counted marks (W words each), then its pending
- * counts and queue (n ints each) */
+/* a plain step's scratch: alive, the holders, the attractor, the
+ * worklist's done and counted marks (W words each), then its pending
+ * counts and queue (n ints each).  ``left`` and ``right`` make one per
+ * call, ``solve`` one per solve */
 typedef struct {
     word *alive, *hold, *att, *done, *counted;
     int32_t *pending, *queue;
 } Step;
 
 static int
-step_block(Step *s, PyObject *alive, int32_t n)
+step_block(Step *s, PyObject *alive, int32_t n, int extra)
 {
-    /* allocate s's block, read alive into it and clear the other masks */
+    /* allocate s's block, with extra W-word masks after counted, read
+     * alive into it and clear the other masks */
     Py_ssize_t W = (n + 63) / 64;
-    s->alive = load(alive, n, 4 * W * sizeof(word) + 2 * (size_t)n * sizeof(int32_t));
+    s->alive = load(alive, n, (4 + extra) * W * sizeof(word) + 2 * (size_t)n * sizeof(int32_t));
     if (!s->alive)
         return -1;
     s->hold = s->alive + W;
     s->att = s->hold + W;
     s->done = s->att + W;
     s->counted = s->done + W;
-    s->pending = (int32_t *)(s->counted + W);
+    s->pending = (int32_t *)(s->counted + (1 + extra) * W);
     s->queue = s->pending + n;
-    memset(s->hold, 0, 4 * W * sizeof(word));
+    memset(s->hold, 0, (4 + extra) * W * sizeof(word));
     return 0;
 }
 
@@ -952,55 +969,94 @@ scan:
     return best;
 }
 
+static int32_t
+left_half(const Arena *a, Step *s, Py_ssize_t W, Py_ssize_t lo, int *p, int *grew)
+{
+    /* _left_mask on s's alive, with its other masks clear: returns the
+     * level index i of the highest alive priority, -1 when alive is
+     * empty, and leaves its parity in p, its alive holders in hold, their
+     * attractor for p in att, and in grew whether any position joined */
+    Py_ssize_t tail = 0, k;
+    long long size = count(s->alive, W);
+    int32_t i = top_level(a, s->alive, W, lo, size);
+    if (i < 0)
+        return -1;
+    /* the holders, off the level or off alive, whichever is shorter */
+    if (a->loff[i + 1] - a->loff[i] <= size) {
+        for (k = a->loff[i]; k < a->loff[i + 1]; k++)
+            if (HAS(s->alive, a->lpos[k]))
+                s->queue[tail++] = a->lpos[k];
+    }
+    else
+        for (k = 0; k < W; k++) {
+            word m = s->alive[k];
+            while (m) {
+                int32_t v = (int32_t)(k * 64 + __builtin_ctzll(m));
+                m &= m - 1;
+                if (a->rank[v] == i)
+                    s->queue[tail++] = v;
+            }
+        }
+    for (k = 0; k < tail; k++)
+        ADD(s->hold, s->queue[k]);
+    memcpy(s->att, s->hold, W * sizeof(word));
+    *p = a->par[s->queue[0]];
+    *grew = attract(a, s, tail, *p);
+    return i;
+}
+
+static int
+right_half(const Arena *a, Step *s, Py_ssize_t W, int p)
+{
+    /* _right_mask on s, with the holders in hold, w_opp in att and done
+     * and counted clear: leaves the attractor of w_opp for 1 - p in att
+     * and returns whether any position joined */
+    Py_ssize_t tail = 0, i;
+    int32_t k;
+    memcpy(s->done, s->att, W * sizeof(word));
+    /* the front: the seed positions the holders move into, each once */
+    for (i = 0; i < W; i++) {
+        word m = s->hold[i];
+        while (m) {
+            int32_t h = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+            for (k = a->off[h]; k < a->off[h + 1]; k++)
+                if (HAS(s->done, a->tgt[k])) {
+                    DEL(s->done, a->tgt[k]);
+                    s->queue[tail++] = a->tgt[k];
+                }
+        }
+    }
+    return attract(a, s, tail, 1 - p);
+}
+
 static PyObject *
 left(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *packed, *alive, *holders = NULL, *att = NULL, *out = NULL;
     Arena a;
     Step s;
-    Py_ssize_t W, lo, tail = 0, k;
+    Py_ssize_t W, lo;
     int32_t i;
-    int p;
-    long long size;
+    int p, grew;
     if (!PyArg_ParseTuple(args, "SOn", &packed, &alive, &lo) || unpack(packed, &a) < 0)
         return NULL;
     if (lo < 0) {
         PyErr_SetString(PyExc_ValueError, "the level cursor must not be negative");
         return NULL;
     }
-    if (step_block(&s, alive, a.n) < 0)
+    if (step_block(&s, alive, a.n, 0) < 0)
         return NULL;
     W = (a.n + 63) / 64;
-    size = count(s.alive, W);
-    i = top_level(&a, s.alive, W, lo, size);
+    i = left_half(&a, &s, W, lo, &p, &grew);
     if (i < 0) {
         PyErr_SetString(PyExc_ValueError, "alive holds no position of the arena");
         goto finish;
     }
-    /* the holders, off the level or off alive, whichever is shorter */
-    if (a.loff[i + 1] - a.loff[i] <= size) {
-        for (k = a.loff[i]; k < a.loff[i + 1]; k++)
-            if (HAS(s.alive, a.lpos[k]))
-                s.queue[tail++] = a.lpos[k];
-    }
-    else
-        for (k = 0; k < W; k++) {
-            word m = s.alive[k];
-            while (m) {
-                int32_t v = (int32_t)(k * 64 + __builtin_ctzll(m));
-                m &= m - 1;
-                if (a.rank[v] == i)
-                    s.queue[tail++] = v;
-            }
-        }
-    for (k = 0; k < tail; k++)
-        ADD(s.hold, s.queue[k]);
-    memcpy(s.att, s.hold, W * sizeof(word));
-    p = a.par[s.queue[0]];
     holders = from_words(s.hold, W);
     if (!holders)
         goto finish;
-    att = attract(&a, &s, tail, p) ? from_words(s.att, W) : Py_NewRef(holders);
+    att = grew ? from_words(s.att, W) : Py_NewRef(holders);
     if (att)
         out = Py_BuildValue("(inOO)", p, (Py_ssize_t)i, holders, att);
 finish:
@@ -1016,8 +1072,7 @@ right(PyObject *Py_UNUSED(module), PyObject *args)
     PyObject *packed, *alive, *holders, *w_opp, *out = NULL;
     Arena a;
     Step s;
-    Py_ssize_t W, tail = 0, i;
-    int32_t k;
+    Py_ssize_t W;
     int p;
     if (!PyArg_ParseTuple(args, "SOOOi", &packed, &alive, &holders, &w_opp, &p) || unpack(packed, &a) < 0)
         return NULL;
@@ -1025,28 +1080,368 @@ right(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "player out of range");
         return NULL;
     }
-    if (step_block(&s, alive, a.n) < 0)
+    if (step_block(&s, alive, a.n, 0) < 0)
         return NULL;
     W = (a.n + 63) / 64;
     if (read_mask(holders, s.hold, a.n) < 0 || read_mask(w_opp, s.att, a.n) < 0)
         goto finish;
-    memcpy(s.done, s.att, W * sizeof(word));
-    /* the front: the seed positions the holders move into, each once */
-    for (i = 0; i < W; i++) {
-        word m = s.hold[i];
-        while (m) {
-            int32_t h = (int32_t)(i * 64 + __builtin_ctzll(m));
-            m &= m - 1;
-            for (k = a.off[h]; k < a.off[h + 1]; k++)
-                if (HAS(s.done, a.tgt[k])) {
-                    DEL(s.done, a.tgt[k]);
-                    s.queue[tail++] = a.tgt[k];
-                }
-        }
-    }
-    out = attract(&a, &s, tail, 1 - p) ? from_words(s.att, W) : Py_NewRef(w_opp);
+    out = right_half(&a, &s, W, p) ? from_words(s.att, W) : Py_NewRef(w_opp);
 finish:
     free(s.alive);
+    return out;
+}
+
+/* ------------------------------------------------------------------------
+ * the whole recursion of solver.solve without the SCC and dominion layers
+ *
+ * ``solve`` runs the loop of solver.solve on an explicit stack of calls,
+ * each call's plain step by left_half and right_half on the solve's one
+ * Step, and counts as that loop does.  The table of entered alive sets is
+ * exact: an entry keeps its mask over its span only, the words from its
+ * first non-zero one to its last, in chunks that never move, hashed word
+ * by word (int hashing takes x mod 2**61 - 1, under which a chain's
+ * prefixes collide); with the memo it also keeps a finished call's w0
+ * over w0's span.  Entries sit in an array that grows, and the
+ * open-addressed slots, doubled when three quarters full, hold entry
+ * indices, so a call names its alive set by an index that stays valid
+ * when the slots move.  A running call keeps its attractor and holders,
+ * and then the opponent's attractor, on a LIFO stack of words over that
+ * attractor's span.  The table, the calls and the word stack grow with
+ * what they hold; nothing is sized by n but the Step and two masks.
+ * Python's signal handlers run every 4096 calls, so a long solve stays
+ * interruptible: when one raises, everything is freed and the exception
+ * surfaces. */
+
+typedef struct {
+    uint64_t hash;
+    word *key, *val;
+    int32_t klo, kspan, vlo, vspan; /* key and w0 from words klo and vlo; vspan < 0: no w0 kept */
+} Seen;
+
+typedef struct {
+    Py_ssize_t entry, at; /* its alive set's entry; where its masks start on the word stack */
+    int32_t i, mlo, mspan; /* the level its left step removed; its masks' span */
+    int8_t p, right;      /* right: its right child is running */
+} Call;
+
+typedef struct {
+    Arena a;
+    Py_ssize_t W;
+    Step s;
+    word *child, *res; /* the alive set being entered; the w0 just found */
+    int32_t lo;        /* the child's level cursor */
+    Seen *seen;
+    Py_ssize_t nseen, seen_cap, nslots, *slots;
+    Chunk *chunks;
+    Call *calls;
+    Py_ssize_t ncalls, calls_cap;
+    word *words;
+    Py_ssize_t top, words_cap;
+} Solve;
+
+#define CHECK_SIGNALS 4095 /* calls & CHECK_SIGNALS == 0: run the signal handlers */
+
+static void *
+grown(void *buf, Py_ssize_t *cap, Py_ssize_t need, size_t size)
+{
+    /* buf, an array of *cap items of size bytes, with room for need > 0:
+     * at least doubled when it grows; NULL with MemoryError */
+    Py_ssize_t c = *cap;
+    if (need <= c)
+        return buf;
+    while (c < need)
+        c = c ? 2 * c : 16;
+    buf = (size_t)c <= PY_SSIZE_T_MAX / size ? realloc(buf, c * size) : NULL;
+    if (!buf)
+        return PyErr_NoMemory();
+    *cap = c;
+    return buf;
+}
+
+static int32_t
+span_of(const word *m, Py_ssize_t W, int32_t *lo)
+{
+    /* how many words of m run from its first non-zero one, *lo, to its
+     * last; 0, with *lo 0, when m is empty */
+    Py_ssize_t l = 0, h = W;
+    while (l < W && !m[l])
+        l++;
+    if (l == W)
+        return *lo = 0;
+    while (!m[h - 1])
+        h--;
+    *lo = (int32_t)l;
+    return (int32_t)(h - l);
+}
+
+static void
+unspan(word *m, Py_ssize_t W, const word *from, int32_t lo, int32_t span)
+{
+    /* m's W words: the span of words from, at lo */
+    memset(m, 0, W * sizeof(word));
+    if (span)
+        memcpy(m + lo, from, span * sizeof(word));
+}
+
+static uint64_t
+hash_span(const word *m, int32_t lo, int32_t span)
+{
+    uint64_t h = (uint64_t)lo * 0x9E3779B97F4A7C15ull;
+    int32_t i;
+    for (i = 0; i < span; i++) {
+        h = (h ^ m[i]) * 0xBF58476D1CE4E5B9ull;
+        h ^= h >> 31;
+    }
+    h = (h ^ h >> 33) * 0xFF51AFD7ED558CCDull;
+    return h ^ h >> 33;
+}
+
+static int
+double_slots(Solve *T)
+{
+    /* twice the slots, FIRST_SLOTS at first, each entry put back by its
+     * hash; -1 with MemoryError */
+    Py_ssize_t size = T->nslots ? 2 * T->nslots : FIRST_SLOTS, i, k;
+    Py_ssize_t *slots = (size_t)size <= PY_SSIZE_T_MAX / sizeof *slots ? malloc(size * sizeof *slots) : NULL;
+    if (!slots)
+        return PyErr_NoMemory(), -1;
+    for (i = 0; i < size; i++)
+        slots[i] = -1;
+    for (k = 0; k < T->nseen; k++) {
+        for (i = (Py_ssize_t)(T->seen[k].hash & (uint64_t)(size - 1)); slots[i] >= 0; i = (i + 1) & (size - 1))
+            ;
+        slots[i] = k;
+    }
+    free(T->slots);
+    T->slots = slots;
+    T->nslots = size;
+    return 0;
+}
+
+static Py_ssize_t
+enter_seen(Solve *T)
+{
+    /* the entry of child, made with no w0 when new; -1 with MemoryError */
+    int32_t lo, span = span_of(T->child, T->W, &lo);
+    const word *m = T->child + lo;
+    uint64_t h = hash_span(m, lo, span);
+    Py_ssize_t i;
+    Seen *e;
+    if (4 * (T->nseen + 1) > 3 * T->nslots && double_slots(T) < 0)
+        return -1;
+    for (i = (Py_ssize_t)(h & (uint64_t)(T->nslots - 1)); T->slots[i] >= 0; i = (i + 1) & (T->nslots - 1)) {
+        e = &T->seen[T->slots[i]];
+        if (e->hash == h && e->klo == lo && e->kspan == span && (!span || !memcmp(e->key, m, span * sizeof(word))))
+            return T->slots[i];
+    }
+    if (!(e = grown(T->seen, &T->seen_cap, T->nseen + 1, sizeof(Seen))))
+        return -1;
+    T->seen = e;
+    e += T->nseen;
+    e->key = e->val = NULL;
+    if (span && !(e->key = take(&T->chunks, span)))
+        return -1;
+    if (span)
+        memcpy(e->key, m, span * sizeof(word));
+    e->hash = h;
+    e->klo = lo;
+    e->kspan = span;
+    e->vlo = 0;
+    e->vspan = -1;
+    return T->slots[i] = T->nseen++;
+}
+
+static int
+store(Solve *T, Py_ssize_t entry)
+{
+    /* keep res as the entry's w0; -1 with MemoryError */
+    int32_t lo, span = span_of(T->res, T->W, &lo);
+    word *v = NULL;
+    if (span && !(v = take(&T->chunks, span)))
+        return -1;
+    if (span)
+        memcpy(v, T->res + lo, span * sizeof(word));
+    T->seen[entry].val = v;
+    T->seen[entry].vlo = lo;
+    T->seen[entry].vspan = span;
+    return 0;
+}
+
+static word *
+push_words(Solve *T, Py_ssize_t k)
+{
+    /* k > 0 words on top of the word stack; NULL with MemoryError */
+    word *w = grown(T->words, &T->words_cap, T->top + k, sizeof(word));
+    if (!w)
+        return NULL;
+    T->words = w;
+    T->top += k;
+    return w + T->top - k;
+}
+
+static int
+open_call(Solve *T, Py_ssize_t entry)
+{
+    /* push a call on child, the entry's non-empty alive set, and run its
+     * left step: the attractor and the holders go on the word stack over
+     * the attractor's span, and what the attractor leaves is the next
+     * child, from the level below the one removed.  -1 with MemoryError */
+    Step *s = &T->s;
+    Py_ssize_t W = T->W, j;
+    Call *c = grown(T->calls, &T->calls_cap, T->ncalls + 1, sizeof(Call));
+    word *saved;
+    int p, grew;
+    if (!c)
+        return -1;
+    T->calls = c;
+    c += T->ncalls;
+    memcpy(s->alive, T->child, W * sizeof(word));
+    memset(s->hold, 0, 4 * W * sizeof(word));
+    c->i = left_half(&T->a, s, W, T->lo, &p, &grew);
+    c->mspan = span_of(s->att, W, &c->mlo);
+    c->at = T->top;
+    if (!(saved = push_words(T, 2 * (Py_ssize_t)c->mspan)))
+        return -1;
+    memcpy(saved, s->att + c->mlo, c->mspan * sizeof(word));
+    memcpy(saved + c->mspan, s->hold + c->mlo, c->mspan * sizeof(word));
+    c->entry = entry;
+    c->p = (int8_t)p;
+    c->right = 0;
+    T->ncalls++;
+    for (j = 0; j < W; j++)
+        T->child[j] = s->alive[j] & ~s->att[j];
+    T->lo = c->i + 1;
+    return 0;
+}
+
+static int
+resume(Solve *T)
+{
+    /* hand res, the w0 of the top call's running child, to that call.
+     * Returns 1 when the call has set up its right child in child, 0 when
+     * it has finished with its own w0 in res and its words popped, -1
+     * with MemoryError */
+    Step *s = &T->s;
+    Call *c = &T->calls[T->ncalls - 1];
+    const Seen *e = &T->seen[c->entry];
+    const word *a = T->words + c->at, *hold = a + c->mspan;
+    word *res = T->res, *w_opp = s->att, *saved, any = 0;
+    Py_ssize_t W = T->W, j;
+    T->top = c->at;
+    if (c->right) {
+        /* r0, or r0 | b for player 1 */
+        if (c->p)
+            for (j = 0; j < c->mspan; j++)
+                res[c->mlo + j] |= a[j];
+        return 0;
+    }
+    unspan(s->alive, W, e->key, e->klo, e->kspan);
+    memset(s->hold, 0, 4 * W * sizeof(word));
+    /* w_opp: rest & ~l0 for player 0, with rest = alive & ~a, or l0 */
+    for (j = 0; j < W; j++)
+        w_opp[j] = c->p ? res[j] : s->alive[j] & ~res[j];
+    for (j = 0; j < c->mspan; j++) {
+        if (!c->p)
+            w_opp[c->mlo + j] &= ~a[j];
+        s->hold[c->mlo + j] = hold[j];
+    }
+    for (j = 0; j < W; j++)
+        any |= w_opp[j];
+    if (!any || !right_half(&T->a, s, W, c->p)) {
+        /* b is w_opp: the call's w0 is alive & ~w_opp, or w_opp */
+        for (j = 0; j < W; j++)
+            res[j] = c->p ? w_opp[j] : s->alive[j] & ~w_opp[j];
+        return 0;
+    }
+    /* b in place of a and the holders; the right child is alive & ~b,
+     * from the level removed */
+    c->mspan = span_of(s->att, W, &c->mlo);
+    if (!(saved = push_words(T, c->mspan)))
+        return -1;
+    memcpy(saved, s->att + c->mlo, c->mspan * sizeof(word));
+    for (j = 0; j < W; j++)
+        T->child[j] = s->alive[j] & ~s->att[j];
+    T->lo = c->i;
+    c->right = 1;
+    return 1;
+}
+
+static PyObject *
+solve(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *packed, *alive, *cap, *w0, *out = NULL;
+    Solve T;
+    Py_ssize_t W, k;
+    long long limit = LLONG_MAX, calls = 0, hits = 0, depth = 0;
+    int memo, overflow, r;
+    if (!PyArg_ParseTuple(args, "SOpO", &packed, &alive, &memo, &cap))
+        return NULL;
+    if (cap != Py_None) {
+        limit = PyLong_AsLongLongAndOverflow(cap, &overflow);
+        if (limit == -1 && PyErr_Occurred())
+            return NULL;
+        if (overflow > 0)
+            limit = LLONG_MAX; /* 2**63 calls or more: never reached */
+        else if (overflow < 0 || limit < 0) {
+            PyErr_SetString(PyExc_ValueError, "the call limit must not be negative");
+            return NULL;
+        }
+    }
+    memset(&T, 0, sizeof T);
+    if (unpack(packed, &T.a) < 0 || step_block(&T.s, alive, T.a.n, 2) < 0)
+        return NULL;
+    T.W = W = (T.a.n + 63) / 64;
+    T.child = T.s.counted + W;
+    T.res = T.child + W;
+    memcpy(T.child, T.s.alive, W * sizeof(word));
+    for (;;) {
+        /* enter a call on child, one level below the top call */
+        Seen *e;
+        calls++;
+        if (T.ncalls >= depth)
+            depth = T.ncalls + 1;
+        if (calls > limit)
+            break;
+        if (!(calls & CHECK_SIGNALS) && PyErr_CheckSignals() < 0)
+            goto finish;
+        if ((k = enter_seen(&T)) < 0)
+            goto finish;
+        e = &T.seen[k];
+        if (e->vspan >= 0) {
+            hits++;
+            unspan(T.res, W, e->val, e->vlo, e->vspan);
+        }
+        else if (e->kspan) {
+            if (open_call(&T, k) < 0)
+                goto finish;
+            continue;
+        }
+        else {
+            memset(T.res, 0, W * sizeof(word));
+            if (memo)
+                e->vspan = 0;
+        }
+        /* hand res down the calls, each finished one's w0 to the one below */
+        for (r = 0; T.ncalls && !(r = resume(&T)); T.ncalls--)
+            if (memo && store(&T, T.calls[T.ncalls - 1].entry) < 0)
+                goto finish;
+        if (r < 0)
+            goto finish;
+        if (!r)
+            break;
+    }
+    w0 = calls > limit ? Py_NewRef(Py_None) : from_words(T.res, W);
+    if (w0) {
+        out = Py_BuildValue("(OLnLLO)", w0, calls, T.nseen, hits, depth, calls > limit ? Py_True : Py_False);
+        Py_DECREF(w0);
+    }
+finish:
+    free(T.s.alive);
+    free(T.seen);
+    free(T.slots);
+    free(T.calls);
+    free(T.words);
+    drop_chunks(T.chunks);
     return out;
 }
 
@@ -1064,13 +1459,16 @@ static PyMethodDef methods[] = {
     {"scan", scan, METH_VARARGS,
      "scan(arena, record, alive, budget, players) -> (result, p, probes, replays), "
      "the scan and replay loop of solver._find_dominion_mask_py"},
+    {"solve", solve, METH_VARARGS,
+     "solve(arena, alive, memo, limit) -> (w0, total_calls, distinct, memo_hits, max_depth, stopped), "
+     "the recursion of solver.solve without the SCC and dominion layers"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "The solver's plain step, the SCC layer's closure check, and the dominion layer's bounded search "
-    "with its scan and replay loop, compiled.", -1, methods,
+    "The solver's plain step and its whole recursion with or without the memo, the SCC layer's closure "
+    "check, and the dominion layer's bounded search with its scan and replay loop, compiled.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

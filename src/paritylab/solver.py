@@ -7,6 +7,9 @@ more.  Each half of that plain step is one call: the max-priority lookup
 with its attractor, ``_left_mask``, and the opponent's attractor,
 ``_right_mask``, both compiled (``_kernel.c``) where the system gcc can
 build them, with these Python twins as their reference and fallback.
+With neither the SCC nor the dominion layer, the kernel runs the whole
+recursion, memo included, in one call per solve, and the Python loop
+in ``solve`` is its reference and fallback.
 Three independently switchable layers wrap it:
 
 * memoization caches the winning partition of every alive set solved
@@ -102,6 +105,13 @@ class SolverConfig:
     scc_decomposition: bool = False
     dominion_decomposition: bool = False
     call_limit: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        limit = self.call_limit
+        if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
+            raise TypeError(f"call_limit must be an int or None, got {limit!r}")
+        if limit is not None and limit < 0:
+            raise ValueError(f"call_limit must not be negative, got {limit}")
 
 
 @dataclass
@@ -361,19 +371,22 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
 # the compiled kernel
 #
 # ``_kernel.c`` runs ``_left_mask``, ``_right_mask``, both closures of
-# ``_first_scc_py``, the whole of ``_search_py``, and the loop of
-# ``_find_dominion_mask_py`` on a record it owns for one solve, all on
-# W-word bitsets, and returns what they need or give.  It is built with
+# ``_first_scc_py``, the whole of ``_search_py``, the loop of
+# ``_find_dominion_mask_py`` on a record it owns for one solve, and, for
+# a configuration with neither the SCC nor the dominion layer, the whole
+# of ``solve``'s loop with its seen table and memo, all on W-word
+# bitsets, and returns what they need or give.  It is built with
 # the system gcc on the first solve of a process, never at import, and
 # cached under $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
 # ``_kernel-<sha256 of the source><extension suffix>``.  ``_kernel`` is
 # False until that first use, then the loaded module, or None when the
 # build or the load failed: one attempt per process, and the Python
 # functions run from then on.  Tests set it to None to force the Python
-# path.  Around the kernel's calls, the recursion, the memo, the
+# path.  With either layer on, the recursion, the memo, the
 # ``_scc_masks`` fallback and the attractors of the SCC and dominion
-# branches stay Python: those branches' seeds are mostly small, and a
-# kernel call costs more than a Python attractor of one position.
+# branches stay Python around the kernel's calls: those branches' seeds
+# are mostly small, and a kernel call costs more than a Python attractor
+# of one position.
 
 _kernel: object = False
 
@@ -662,19 +675,29 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     meets the child: the left child starts below the level just removed,
     the right child at it, and the others at their parent's.  A child
     known to be strongly connected, a component from the SCC split,
-    skips its own SCC check, which would give it back unchanged.
+    skips its own SCC check, which would give it back unchanged.  With
+    neither the SCC nor the dominion layer, the compiled kernel runs this
+    loop in one call when it loads, with the same counters.
     """
     game = g.game
+    kernel = _kernel if _kernel is not False else _load_kernel()
+    arena = game if kernel is None else game.packed or _pack(game)
+    if kernel is not None and not (cfg.scc_decomposition or cfg.dominion_decomposition):
+        # the whole recursion, the loop below with its seen table and memo, in one kernel call
+        t0 = perf_counter()
+        result, *counts, stopped = kernel.solve(arena, g.alive.mask, cfg.memoization, cfg.call_limit)
+        stats = SolveStats(*counts, wall_time=perf_counter() - t0)
+        if stopped:
+            raise CallLimitExceeded(cfg.call_limit, stats)
+        return Regions(PositionSet(game, result), PositionSet(game, g.alive.mask & ~result)), stats
     # the plain step: its two halves from the kernel on the packed arena,
     # or their Python twins on the game; and the dominion searches already
     # run, for replaying (see _find_dominion_mask), in the kernel's record
     # or a dict
-    kernel = _kernel if _kernel is not False else _load_kernel()
     if kernel is None:
-        arena, left, right, record = game, _left_mask, _right_mask, {}
+        left, right, record = _left_mask, _right_mask, {}
     else:
-        arena, left, right = game.packed or _pack(game), kernel.left, kernel.right
-        record = kernel.record()
+        left, right, record = kernel.left, kernel.right, kernel.record()
     stats = SolveStats()
     memo = cfg.memoization
     # every entered alive mask; with memoization, mapped to its w0 once

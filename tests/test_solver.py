@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -230,17 +231,76 @@ def test_the_certificate_stops_at_the_first_bad_cycle(backend, monkeypatch):
     assert len(calls) == (backend == "python")
 
 
-def test_call_limit_carries_partial_stats():
+def _solve_on(backend, monkeypatch):
+    # ``solve`` on one backend: the Python loop with the kernel set to
+    # None, or the kernel's whole recursion
+    if backend == "python":
+        monkeypatch.setattr(solver, "_kernel", None)
+    else:
+        _compiled()
+
+
+def _counters(stats):
+    return [
+        stats.total_calls,
+        stats.distinct_subgames,
+        stats.memo_hits,
+        stats.max_depth,
+        stats.dominion_probes,
+        stats.dominion_replays,
+    ]
+
+
+def _stop(sub, cfg):
+    # total calls, distinct subgames, memo hits and depth of a solve that
+    # its call limit stops
+    with pytest.raises(CallLimitExceeded) as exc:
+        solve(sub, cfg)
+    assert exc.value.limit == cfg.call_limit
+    return _counters(exc.value.stats)[:4]
+
+
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+def test_call_limit_carries_partial_stats(backend, monkeypatch):
+    _solve_on(backend, monkeypatch)
     sub = Subgame.whole(gen_core(2))
-    with pytest.raises(CallLimitExceeded) as exc:
-        solve(sub, SolverConfig(call_limit=5))
-    assert exc.value.limit == 5
-    assert exc.value.stats.total_calls == 6
+    assert _stop(sub, SolverConfig(call_limit=5))[0] == 6
     # with the memo, the in-flight calls count as distinct subgames
-    with pytest.raises(CallLimitExceeded) as exc:
-        solve(sub, SolverConfig(memoization=True, call_limit=40))
-    s = exc.value.stats
-    assert (s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth) == (41, 30, 10, 11)
+    assert _stop(sub, SolverConfig(memoization=True, call_limit=40)) == [41, 30, 10, 11]
+    # the root is counted but not entered
+    assert _stop(sub, SolverConfig(call_limit=0)) == [1, 0, 0, 1]
+    # stops deep inside memo solves
+    assert _stop(Subgame.whole(gen_core(4)), SolverConfig(memoization=True, call_limit=200)) == [201, 143, 57, 19]
+    assert _stop(Subgame.whole(_chain(1500)), SolverConfig(memoization=True, call_limit=1000)) == [1001, 1000, 0, 1001]
+    # the empty subgame is one call on one distinct subgame
+    g = gen_core(2)
+    for cfg in (SolverConfig(), SolverConfig(memoization=True, call_limit=1)):
+        regions, stats = solve(Subgame(g, PositionSet(g, 0)), cfg)
+        assert not regions.of(0) and not regions.of(1)
+        assert _counters(stats) == [1, 1, 0, 1, 0, 0]
+    # nothing of a stopped solve reaches the next one
+    regions, stats = solve(sub, SolverConfig(memoization=True))
+    assert regions.of(0).mask == sub.alive.mask
+    assert _counters(stats) == [42, 30, 12, 11, 0, 0]
+
+
+def test_call_limit_is_checked_once_in_the_config():
+    for limit in (-1, -(2**70)):
+        with pytest.raises(ValueError, match="call_limit"):
+            SolverConfig(call_limit=limit)
+    for limit in (2.5, True, False, "3"):
+        with pytest.raises(TypeError, match="call_limit"):
+            SolverConfig(call_limit=limit)
+
+
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+def test_a_call_limit_past_every_int64_never_binds(backend, monkeypatch):
+    _solve_on(backend, monkeypatch)
+    sub = Subgame.whole(gen_core(2))
+    for limit in (42, 2**63 - 1, 2**63, 2**70):
+        regions, stats = solve(sub, SolverConfig(memoization=True, call_limit=limit))
+        assert regions.of(0).mask == sub.alive.mask
+        assert _counters(stats) == [42, 30, 12, 11, 0, 0]
 
 
 def test_default_dominion_bound_is_sqrt_ceiling():
@@ -280,10 +340,13 @@ def _counting(items, reads):
     return Counting(items)
 
 
+@pytest.mark.parametrize("backend", ["python", "kernel"])
 @pytest.mark.parametrize("variant", ["plain", "scc"])
-def test_chain_calls_read_constant_work(variant):
+def test_chain_calls_read_constant_work(backend, variant, monkeypatch):
     # each call reads a bounded number of predecessor masks and priority
-    # levels, not a number that grows with the chain
+    # levels, not a number that grows with the chain; the kernel reads
+    # the levels once, to pack the arena
+    _solve_on(backend, monkeypatch)
     n = 400
     g = _chain(n)
     reads = [0]
@@ -668,16 +731,36 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
 # both players and budgets from -1 up, every valid level cursor, alive
 # masks with bits only past n, and a 3,000-cycle whose search fills the
 # frame stack; the scans run one record over nested alive sets, so its
-# entries are replayed, overwritten and outgrow the first slots
+# entries are replayed, overwritten and outgrow the first slots.  Whole
+# solves run against the Python loop, in full and stopped by their
+# call limit: on the word-edge games, on cores whose tables double past
+# their first slots, on a 1,500-chain whose stacks grow with its depth,
+# and one that a signal handler interrupts
 _SANITIZED_RUN = """
-import random, sys
+import random, signal, sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
-from paritylab import ParityGame, SolveStats, core, solver
+from paritylab import CallLimitExceeded, ParityGame, SolverConfig, SolveStats, Subgame, core, gen_core, solver
 
 loader = ExtensionFileLoader("paritylab._kernel", sys.argv[1])
 kernel = loader.create_module(ModuleSpec("paritylab._kernel", loader, origin=sys.argv[1]))
 loader.exec_module(kernel)
+solver._kernel = None  # solver.solve runs the Python loop
 searches = 0
+
+
+def whole(g, limits):
+    global searches
+    arena = solver._pack(g)
+    for memo in (False, True):
+        for limit in (None, *limits):
+            try:
+                regions, s = solver.solve(Subgame.whole(g), SolverConfig(memoization=memo, call_limit=limit))
+                w0 = regions.of(0).mask
+            except CallLimitExceeded as stop:
+                w0, s = None, stop.stats
+            want = (w0, s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth, w0 is None)
+            assert kernel.solve(arena, g.full_mask, memo, limit) == want, (g.n, memo, limit)
+            searches += 1
 
 
 def check(g, alive, seeds, players, budgets):
@@ -748,6 +831,25 @@ for n in (1, 9, 63, 64, 65, 128, 129):
         seeds = [v for v in range(n) if alive >> v & 1]
         check(g, alive, seeds, (0, 1), budgets)
         scan(g, nested(g, alive, rng), budgets, ((0, 1), (1, 0), (0, 0), ()))
+    whole(g, (0, 1, 5))
+for k in range(1, 6):
+    whole(gen_core(k), (7, 100, 300))
+whole(ParityGame([v % 2 for v in range(1500)], list(range(1500)), [[v, v - 1] if v else [v] for v in range(1500)]), (1000,))
+
+
+def interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+g = gen_core(15)
+signal.signal(signal.SIGALRM, interrupt)
+signal.setitimer(signal.ITIMER_REAL, 0.1)
+try:
+    kernel.solve(solver._pack(g), g.full_mask, False, None)
+except KeyboardInterrupt:
+    pass
+else:
+    raise AssertionError("a plain solve of gen_core(15) outran the timer")
 n = 3000
 g = ParityGame([0] * n, [0] * n, [[(v + 1) % n] for v in range(n)])
 check(g, g.full_mask, [0], [0], [n, 2**70])
@@ -763,8 +865,10 @@ print(searches)
 
 
 def test_the_kernel_is_clean_under_address_sanitizer(tmp_path):
-    # out-of-bounds reads and writes of the one block a call allocates,
-    # the frame stack at its bound included, abort the run
+    # out-of-bounds reads and writes of the blocks a call allocates, the
+    # frame stack at its bound included, abort the run; a block of the
+    # kernel's still allocated at exit is reported as a leak from
+    # ``_kernel.c``, whatever the interpreter itself leaves behind
     include = _python_include()
     libasan = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
     if not os.path.isabs(libasan) or not os.path.isfile(libasan):
@@ -777,13 +881,15 @@ def test_the_kernel_is_clean_under_address_sanitizer(tmp_path):
     env = dict(
         os.environ,
         LD_PRELOAD=libasan,
-        ASAN_OPTIONS="detect_leaks=0",
+        ASAN_OPTIONS="detect_leaks=1",
+        LSAN_OPTIONS="exitcode=0",
         PYTHONPATH=str(Path(solver.__file__).parents[1]),
     )
     out = subprocess.run(
         [sys.executable, "-c", _SANITIZED_RUN, str(build)], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
+    assert "_kernel.c" not in out.stderr, out.stderr
     assert int(out.stdout) > 5000
 
 
@@ -890,6 +996,112 @@ def test_the_plain_step_runs_in_the_kernel_when_it_loads(monkeypatch):
     assert calls.count("_left_mask") > calls.count("_right_mask") > 0
 
 
+class _Counted:
+    # the kernel, counting each call of its functions by name
+    def __init__(self, kernel, calls):
+        self._kernel, self._calls = kernel, calls
+
+    def __getattr__(self, name):
+        fn = getattr(self._kernel, name)
+        return lambda *args: self._calls.append(name) or fn(*args)
+
+
+@pytest.mark.parametrize("variant", ["plain", "memo"])
+def test_a_plain_or_memo_solve_is_one_kernel_call(variant, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "_kernel", _Counted(_compiled(), calls))
+    g = gen_core(3)
+    regions, stats = solve(Subgame.whole(g), VARIANTS[variant])
+    assert calls == ["solve"]
+    assert regions.of(0).mask == g.full_mask
+    assert _counters(stats)[:5] == _GRID["core k=3"][variant]
+
+
+def _on_both_backends(sub, cfg):
+    # (regions, or None when the call limit stopped it, and the six
+    # counters) of the kernel's solve, then of the Python loop's
+    out = []
+    for kernel in (_compiled(), None):
+        saved, solver._kernel = solver._kernel, kernel
+        try:
+            regions, stats = solve(sub, cfg)
+        except CallLimitExceeded as stop:
+            regions, stats = None, stop.stats
+        finally:
+            solver._kernel = saved
+        out.append((regions, _counters(stats)))
+    return out
+
+
+def _agree_on_the_solve(g, alive, below):
+    # plain and memo, in full and stopped at a limit ``below(total calls)``
+    sub = Subgame(g, PositionSet(g, alive))
+    for memo in (False, True):
+        kernel, python = _on_both_backends(sub, SolverConfig(memoization=memo))
+        assert kernel == python, (g.n, alive, memo)
+        limit = below(python[1][0])
+        kernel, python = _on_both_backends(sub, SolverConfig(memoization=memo, call_limit=limit))
+        assert kernel == python and python[0] is None, (g.n, alive, memo, limit)
+
+
+def _trap(g, alive, seed, p):
+    # what is left of alive once p attracts seed: a subgame again
+    return alive & ~core._attractor_mask(g, alive, seed & alive, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 10_000), st.data())
+def test_kernel_solve_matches_the_python_loop(n, game_seed, data):
+    g = gen_random(n, game_seed)
+    alive = g.full_mask
+    for _ in range(data.draw(st.integers(0, 2))):
+        alive = _trap(g, alive, data.draw(st.integers(0, g.full_mask)), data.draw(st.integers(0, 1)))
+    _agree_on_the_solve(g, alive, lambda total: data.draw(st.integers(0, total - 1)))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_kernel_solve_at_word_edges_with_huge_priorities(n):
+    # priorities past 2**64 reach the kernel only as ranks and parities;
+    # every third position's only move is a self-loop
+    rng = random.Random(n)
+    owners = [rng.randrange(2) for _ in range(n)]
+    priorities = [2**64 + rng.randrange(2 * n) for _ in range(n)]
+    successors = [[v] if v % 3 == 0 else rng.sample(range(n), min(n, 3)) for v in range(n)]
+    g = ParityGame(owners, priorities, successors)
+    for alive in (g.full_mask, _trap(g, g.full_mask, rng.randint(1, g.full_mask), 0), _trap(g, g.full_mask, 1, 1)):
+        _agree_on_the_solve(g, alive, rng.randrange)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer here")
+@pytest.mark.parametrize("backend", ["python", "kernel"])
+def test_a_long_solve_stays_interruptible(backend, monkeypatch):
+    # a plain solve of gen_core(16) takes seconds on either backend; a
+    # signal handler that raises stops it, and the next solve is whole
+    _solve_on(backend, monkeypatch)
+    g = gen_core(16)
+    solve(Subgame(g, PositionSet(g, 0)))  # loads the kernel and packs the arena first
+
+    def interrupt(signum, frame):
+        raise _Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(_Interrupted):
+            solve(Subgame.whole(g))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    g = gen_core(3)
+    regions, stats = solve(Subgame.whole(g))
+    assert regions.of(0).mask == g.full_mask
+    assert _counters(stats)[:5] == _GRID["core k=3"]["plain"]
+
+
 @pytest.mark.parametrize("n", [1, 3, 64, 70])
 def test_kernel_rejects_alive_masks_outside_its_words(n):
     # in every kernel function a mask is W = ceil(n / 64) words: bits past
@@ -922,6 +1134,10 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
     with pytest.raises(ValueError, match="player"):
         kernel.right(arena, full, 1, 1, 2)
     assert kernel.scan(arena, kernel.record(), top - 1, 2, (0, 1)) == kernel.scan(arena, kernel.record(), full, 2, (0, 1))
+    for memo in (False, True):
+        assert kernel.solve(arena, top - 1, memo, None) == kernel.solve(arena, full, memo, None)
+        if past:
+            assert kernel.solve(arena, past, memo, None) == (0, 1, 1, 0, 1, False)
     calls = (
         lambda mask: kernel.search(arena, mask, 0, 0, 1),
         lambda mask: kernel.scan(arena, kernel.record(), mask, 1, (0, 1)),
@@ -930,6 +1146,7 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
         lambda mask: kernel.right(arena, mask, 1, 1, 0),
         lambda mask: kernel.right(arena, full, mask, 1, 0),
         lambda mask: kernel.right(arena, full, 1, mask, 0),
+        lambda mask: kernel.solve(arena, mask, True, None),
     )
     for call in calls:
         for mask in (-1, -top, top, top | 1, 2 * top):
@@ -961,6 +1178,24 @@ def test_kernel_scan_rejects_bad_arguments():
     with pytest.raises(OverflowError):
         kernel.scan(arena, record, g.full_mask, -(2**70), (0, 1))
     assert kernel.scan(arena, record, g.full_mask, 2**70, (0, 1)) == kernel.scan(arena, kernel.record(), g.full_mask, 9, (0, 1))
+
+
+def test_kernel_solve_rejects_bad_limits():
+    # a negative limit or one that is not an int; None and a limit past
+    # every int64 never bind
+    kernel = _compiled()
+    g = gen_core(2)
+    arena = solver._pack(g)
+    for limit in (-1, -(2**70)):
+        with pytest.raises(ValueError, match="call limit"):
+            kernel.solve(arena, g.full_mask, True, limit)
+    for limit in (2.5, "3"):
+        with pytest.raises(TypeError):
+            kernel.solve(arena, g.full_mask, True, limit)
+    full = kernel.solve(arena, g.full_mask, True, None)
+    assert full == (g.full_mask, 42, 30, 12, 11, False)
+    assert kernel.solve(arena, g.full_mask, True, 2**70) == full
+    assert kernel.solve(arena, g.full_mask, True, 41) == (None, 42, 30, 11, 11, True)
 
 
 def _arena(g):
@@ -1016,6 +1251,7 @@ def test_both_kernel_functions_reject_a_short_arena():
             lambda: kernel.left(arena, g.full_mask, 0),
             lambda: kernel.right(arena, g.full_mask, 1, 2, 0),
             lambda: kernel.scan(arena, kernel.record(), g.full_mask, 3, (0, 1)),
+            lambda: kernel.solve(arena, g.full_mask, False, None),
         ):
             with pytest.raises(ValueError, match="^malformed packed arena$"):
                 call()
@@ -1049,14 +1285,7 @@ def test_kernel_solves_the_grid_like_the_python_path(cell, monkeypatch):
 
     def run(cfg):
         regions, stats = solve(sub, cfg)
-        return regions, [
-            stats.total_calls,
-            stats.distinct_subgames,
-            stats.memo_hits,
-            stats.max_depth,
-            stats.dominion_probes,
-            stats.dominion_replays,
-        ]
+        return regions, _counters(stats)
 
     mixes = [SolverConfig(*mix) for mix in itertools.product((False, True), repeat=3)]
     compiled = [run(cfg) for cfg in mixes]

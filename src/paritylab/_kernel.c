@@ -548,30 +548,21 @@ finish:
 }
 
 /* ------------------------------------------------------------------------
- * the dominion record: a kernel-owned table that lives for one solve
+ * the one hash table, which the dominion record and ``solve`` share
  *
- * It keeps, per (seed, p, budget), the last search scan ran for it, as
- * _find_dominion_mask_py's dict does: its probes, whether it found a
- * closure, and three masks, touched, alive & touched and the closure.
- * All three lie in touched (the seed and the successors the search
- * read), so each is stored only over touched's span of words, lo up to
- * its last non-zero word: on a chain an entry is a word or two, not n
- * bits.  The masks are carved from chunks of CHUNK_WORDS words (or one
- * chunk of its own, for a wider entry), which never move, so no entry is
- * copied and no chunk is freed before the record.  An entry keeps its
- * words when a search overwrites it, unless the new span is wider, and
- * then takes new ones.  The table is open-addressed with linear
- * probing, doubles its slots when three quarters full, and binds itself
- * to the n of the first arena a scan hands it, so a span never reaches
- * past an alive mask's W words. */
-
-typedef struct {
-    long long budget, probes;
-    word *masks; /* 3 cap words: touched, alive & touched, the closure */
-    int32_t seed;
-    int8_t p, found; /* p < 0: an empty slot */
-    int32_t lo, span, cap; /* touched's words lo .. lo + span */
-} Entry;
+ * An entry's key and value are masks kept over a span of words: span
+ * words from word lo of a W-word mask, outside which the mask is zero.
+ * Both are stored over their span only, in chunks of CHUNK_WORDS words
+ * (or one chunk of its own, for a wider mask) that never move, so no
+ * entry is copied and no chunk is freed before the table; keys are
+ * hashed word by word, with their lo (int hashing takes x mod 2**61 - 1,
+ * under which a chain's prefixes collide).  Entries sit in an array that
+ * doubles, and the open-addressed slots, probed linearly and doubled when
+ * three quarters full, hold entry indices, so an entry's index stays
+ * valid when the slots move.  A value is one or more masks over the same
+ * span, one after the other; a value stored again reuses the entry's
+ * words unless it needs more.  The record keys an entry on the two words
+ * (seed << 1 | p, budget); ``solve`` keys it on an entered alive set. */
 
 typedef struct Chunk {
     struct Chunk *next;
@@ -580,52 +571,205 @@ typedef struct Chunk {
 } Chunk;
 
 typedef struct {
-    int32_t n;
-    Py_ssize_t size, used;
-    Entry *slots;
-    Chunk *chunks; /* the newest first */
-} Record;
+    uint64_t hash;
+    word *key, *val;
+    int32_t klo, kspan, vlo, vspan, vcap; /* vspan < 0: no value yet; vcap: the words val holds */
+    int8_t found;                         /* the record's: whether its search found a closure */
+    long long probes;                     /* the record's: that search's probes */
+} Entry;
 
-#define RECORD_NAME "paritylab._kernel.record"
+typedef struct {
+    Entry *entries;
+    Py_ssize_t n, cap, nslots, *slots;
+    Chunk *chunks; /* the newest first */
+} Table;
+
 #define FIRST_SLOTS 64
 #define CHUNK_WORDS 4096
 
-static void
-drop_chunks(Chunk *c)
+static void *
+grown(void *buf, Py_ssize_t *cap, Py_ssize_t need, size_t size)
 {
-    while (c) {
-        Chunk *next = c->next;
-        free(c);
-        c = next;
-    }
+    /* buf, an array of *cap items of size bytes, with room for need > 0:
+     * at least doubled when it grows; NULL with MemoryError */
+    Py_ssize_t c = *cap;
+    if (need <= c)
+        return buf;
+    while (c < need)
+        c = c ? 2 * c : 16;
+    buf = (size_t)c <= PY_SSIZE_T_MAX / size ? realloc(buf, c * size) : NULL;
+    if (!buf)
+        return PyErr_NoMemory();
+    *cap = c;
+    return buf;
 }
 
 static word *
-take(Chunk **chunks, Py_ssize_t k)
+take(Table *t, Py_ssize_t k)
 {
     /* k words from the newest chunk, or from a new one; NULL with
      * MemoryError */
-    Chunk *c = *chunks;
+    Chunk *c = t->chunks;
     if (!c || c->used + k > c->size) {
         Py_ssize_t size = k > CHUNK_WORDS ? k : CHUNK_WORDS;
         c = (size_t)size <= (PY_SSIZE_T_MAX - sizeof(Chunk)) / sizeof(word) ? malloc(sizeof(Chunk) + size * sizeof(word)) : NULL;
         if (!c)
             return (word *)PyErr_NoMemory();
-        c->next = *chunks;
+        c->next = t->chunks;
         c->used = 0;
         c->size = size;
-        *chunks = c;
+        t->chunks = c;
     }
     c->used += k;
     return c->words + c->used - k;
 }
 
 static void
+drop_table(Table *t)
+{
+    Chunk *c = t->chunks;
+    while (c) {
+        Chunk *next = c->next;
+        free(c);
+        c = next;
+    }
+    free(t->entries);
+    free(t->slots);
+}
+
+static int32_t
+span_of(const word *m, Py_ssize_t W, int32_t *lo)
+{
+    /* how many words of m run from its first non-zero one, *lo, to its
+     * last; 0, with *lo 0, when m is empty */
+    Py_ssize_t l = 0, h = W;
+    while (l < W && !m[l])
+        l++;
+    if (l == W)
+        return *lo = 0;
+    while (!m[h - 1])
+        h--;
+    *lo = (int32_t)l;
+    return (int32_t)(h - l);
+}
+
+static void
+unspan(word *m, Py_ssize_t W, const word *from, int32_t lo, int32_t span)
+{
+    /* m's W words: the span of words from, at lo */
+    memset(m, 0, W * sizeof(word));
+    if (span)
+        memcpy(m + lo, from, span * sizeof(word));
+}
+
+static uint64_t
+hash_span(const word *m, int32_t lo, int32_t span)
+{
+    uint64_t h = (uint64_t)lo * 0x9E3779B97F4A7C15ull;
+    int32_t i;
+    for (i = 0; i < span; i++) {
+        h = (h ^ m[i]) * 0xBF58476D1CE4E5B9ull;
+        h ^= h >> 31;
+    }
+    h = (h ^ h >> 33) * 0xFF51AFD7ED558CCDull;
+    return h ^ h >> 33;
+}
+
+static int
+double_slots(Table *t)
+{
+    /* twice the slots, FIRST_SLOTS at first, each entry put back by its
+     * hash; -1 with MemoryError */
+    Py_ssize_t size = t->nslots ? 2 * t->nslots : FIRST_SLOTS, i, k;
+    Py_ssize_t *slots = (size_t)size <= PY_SSIZE_T_MAX / sizeof *slots ? malloc(size * sizeof *slots) : NULL;
+    if (!slots)
+        return PyErr_NoMemory(), -1;
+    for (i = 0; i < size; i++)
+        slots[i] = -1;
+    for (k = 0; k < t->n; k++) {
+        for (i = (Py_ssize_t)(t->entries[k].hash & (uint64_t)(size - 1)); slots[i] >= 0; i = (i + 1) & (size - 1))
+            ;
+        slots[i] = k;
+    }
+    free(t->slots);
+    t->slots = slots;
+    t->nslots = size;
+    return 0;
+}
+
+static Py_ssize_t
+lookup(Table *t, const word *key, int32_t lo, int32_t span)
+{
+    /* the index of the entry whose key is the span words at key, word lo
+     * on of their mask, made with no value when new; -1 with MemoryError */
+    uint64_t h = hash_span(key, lo, span);
+    Py_ssize_t i;
+    Entry *e;
+    if (4 * (t->n + 1) > 3 * t->nslots && double_slots(t) < 0)
+        return -1;
+    for (i = (Py_ssize_t)(h & (uint64_t)(t->nslots - 1)); t->slots[i] >= 0; i = (i + 1) & (t->nslots - 1)) {
+        e = &t->entries[t->slots[i]];
+        if (e->hash == h && e->klo == lo && e->kspan == span && (!span || !memcmp(e->key, key, span * sizeof(word))))
+            return t->slots[i];
+    }
+    if (!(e = grown(t->entries, &t->cap, t->n + 1, sizeof(Entry))))
+        return -1;
+    t->entries = e;
+    e += t->n;
+    memset(e, 0, sizeof *e);
+    if (span && !(e->key = take(t, span)))
+        return -1;
+    if (span)
+        memcpy(e->key, key, span * sizeof(word));
+    e->hash = h;
+    e->klo = lo;
+    e->kspan = span;
+    e->vspan = -1;
+    return t->slots[i] = t->n++;
+}
+
+static int
+set_span(Table *t, Entry *e, int32_t lo, int32_t span, int32_t masks)
+{
+    /* make e's value that many masks of span words each, from word lo,
+     * for the caller to write, in the words e's value holds unless they
+     * are too few; -1 with MemoryError, e unchanged */
+    if (masks * span > e->vcap) {
+        word *val = take(t, masks * (Py_ssize_t)span);
+        if (!val)
+            return -1;
+        e->val = val;
+        e->vcap = masks * span;
+    }
+    e->vlo = lo;
+    e->vspan = span;
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * the dominion record: one table of the kind above, living for one solve
+ *
+ * It keeps, per (seed, p, budget), the last search scan ran for it, as
+ * _find_dominion_mask_py's dict does: its probes, whether it found a
+ * closure, and as its value three masks, touched, alive & touched and
+ * the closure.  All three lie in touched (the seed and the successors
+ * the search read), so each is stored over touched's span: on a chain an
+ * entry is a word or two, not n bits.  The record binds itself to the n
+ * of the first arena a scan hands it, so a span never reaches past an
+ * alive mask's W words. */
+
+typedef struct {
+    Table t;
+    int32_t n;
+} Record;
+
+#define RECORD_NAME "paritylab._kernel.record"
+
+static void
 drop_record(PyObject *capsule)
 {
     Record *R = PyCapsule_GetPointer(capsule, RECORD_NAME);
-    drop_chunks(R->chunks);
-    free(R->slots);
+    drop_table(&R->t);
     free(R);
 }
 
@@ -642,91 +786,36 @@ record(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
     return capsule;
 }
 
-static Py_ssize_t
-slot_of(const Record *R, int32_t seed, int p, long long budget)
-{
-    /* the slot of (seed, p, budget), or the empty slot it would take */
-    uint64_t h = ((uint64_t)seed << 1 | (uint64_t)p) * 0x9E3779B97F4A7C15ull ^ (uint64_t)budget * 0xC2B2AE3D27D4EB4Full;
-    Py_ssize_t i = (Py_ssize_t)(h >> 32) & (R->size - 1);
-    for (;; i = (i + 1) & (R->size - 1)) {
-        const Entry *e = &R->slots[i];
-        if (e->p < 0 || (e->seed == seed && e->p == p && e->budget == budget))
-            return i;
-    }
-}
-
-static int
-make_room(Record *R)
-{
-    /* room for one more entry with the table at most three quarters
-     * full; -1 with MemoryError */
-    Entry *old = R->slots;
-    Py_ssize_t old_size = R->size, i;
-    if (4 * (R->used + 1) <= 3 * old_size)
-        return 0;
-    R->size = old_size ? 2 * old_size : FIRST_SLOTS;
-    R->slots = (size_t)R->size <= PY_SSIZE_T_MAX / sizeof(Entry) ? malloc(R->size * sizeof(Entry)) : NULL;
-    if (!R->slots) {
-        R->slots = old;
-        R->size = old_size;
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < R->size; i++)
-        R->slots[i].p = -1;
-    for (i = 0; i < old_size; i++)
-        if (old[i].p >= 0)
-            R->slots[slot_of(R, old[i].seed, old[i].p, old[i].budget)] = old[i];
-    free(old);
-    return 0;
-}
-
-
 static int
 replays(const Entry *e, const word *alive)
 {
     /* whether alive still agrees with e's search on e's touched mask */
-    const word *touched = e->masks, *at = touched + e->cap;
+    const word *touched = e->val, *at = touched + e->vspan;
     int32_t i;
-    for (i = 0; i < e->span; i++)
-        if ((alive[e->lo + i] & touched[i]) != at[i])
+    for (i = 0; i < e->vspan; i++)
+        if ((alive[e->vlo + i] & touched[i]) != at[i])
             return 0;
     return 1;
 }
 
 static int
-keep(Record *R, Py_ssize_t slot, const Search *S, int found)
+keep(Table *t, Entry *e, const Search *S, int found)
 {
-    /* store the search S just ran in slot, over touched's span of words,
-     * in place of what the slot held; -1 with MemoryError */
-    Entry *e = &R->slots[slot];
+    /* store the search S just ran as e's value, in place of what e held;
+     * -1 with MemoryError */
     const word *res = found ? S->frames[S->nframes - 1].mem : NULL;
-    int32_t lo = 0, hi = (int32_t)S->W - 1, i;
-    while (!S->touched[lo]) /* touched holds the seed */
-        lo++;
-    while (!S->touched[hi])
-        hi--;
-    if (e->p < 0 || hi - lo + 1 > e->cap) {
-        word *masks = take(&R->chunks, 3 * (Py_ssize_t)(hi - lo + 1));
-        if (!masks)
-            return -1;
-        if (e->p < 0)
-            R->used++;
-        e->masks = masks;
-        e->cap = hi - lo + 1;
+    int32_t lo, span = span_of(S->touched, S->W, &lo), i; /* touched holds the seed */
+    word *v;
+    if (set_span(t, e, lo, span, 3) < 0)
+        return -1;
+    v = e->val;
+    for (i = 0; i < span; i++) {
+        v[i] = S->touched[lo + i];
+        v[span + i] = S->alive[lo + i] & S->touched[lo + i];
+        v[2 * span + i] = res ? res[lo + i] : 0;
     }
-    e->seed = S->seed;
-    e->p = (int8_t)S->p;
-    e->budget = S->budget;
-    e->lo = lo;
-    e->span = hi - lo + 1;
     e->probes = S->probes;
     e->found = (int8_t)found;
-    for (i = 0; i < e->span; i++) {
-        e->masks[i] = S->touched[lo + i];
-        e->masks[e->cap + i] = S->alive[lo + i] & S->touched[lo + i];
-        e->masks[2 * e->cap + i] = res ? res[lo + i] : 0;
-    }
     return 0;
 }
 
@@ -784,21 +873,20 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             m &= m - 1;
             for (k = 0; k < np; k++) {
                 int p = (int)PyLong_AsLong(items[k]);
-                Py_ssize_t slot;
+                word key[2] = {(word)seed << 1 | (word)p, (word)S.budget};
+                Py_ssize_t at = lookup(&R->t, key, 0, 2);
                 Entry *e;
-                if (make_room(R) < 0)
+                if (at < 0)
                     goto finish;
-                slot = slot_of(R, seed, p, S.budget);
-                e = &R->slots[slot];
-                if (e->p >= 0 && replays(e, S.alive))
+                e = &R->t.entries[at];
+                if (e->vspan >= 0 && replays(e, S.alive))
                     replayed++;
-                else if (keep(R, slot, &S, start(&S, seed, p)) < 0)
+                else if (keep(&R->t, e, &S, start(&S, seed, p)) < 0)
                     goto finish;
                 probes += e->probes;
                 if (e->found) {
                     /* the closure back to W words, in seen */
-                    memset(S.seen, 0, S.W * sizeof(word));
-                    memcpy(S.seen + e->lo, e->masks + 2 * e->cap, e->span * sizeof(word));
+                    unspan(S.seen, S.W, e->val + 2 * e->vspan, e->vlo, e->vspan);
                     res = from_words(S.seen, S.W);
                     if (res) {
                         out = Py_BuildValue("(OiLL)", res, p, probes, replayed);
@@ -1097,26 +1185,15 @@ finish:
  * ``solve`` runs the loop of solver.solve on an explicit stack of calls,
  * each call's plain step by left_half and right_half on the solve's one
  * Step, and counts as that loop does.  The table of entered alive sets is
- * exact: an entry keeps its mask over its span only, the words from its
- * first non-zero one to its last, in chunks that never move, hashed word
- * by word (int hashing takes x mod 2**61 - 1, under which a chain's
- * prefixes collide); with the memo it also keeps a finished call's w0
- * over w0's span.  Entries sit in an array that grows, and the
- * open-addressed slots, doubled when three quarters full, hold entry
- * indices, so a call names its alive set by an index that stays valid
- * when the slots move.  A running call keeps its attractor and holders,
- * and then the opponent's attractor, on a LIFO stack of words over that
- * attractor's span.  The table, the calls and the word stack grow with
- * what they hold; nothing is sized by n but the Step and two masks.
- * Python's signal handlers run every 4096 calls, so a long solve stays
- * interruptible: when one raises, everything is freed and the exception
- * surfaces. */
-
-typedef struct {
-    uint64_t hash;
-    word *key, *val;
-    int32_t klo, kspan, vlo, vspan; /* key and w0 from words klo and vlo; vspan < 0: no w0 kept */
-} Seen;
+ * exact: the shared table above, keyed on each alive set over its span,
+ * and with the memo keeping a finished call's w0 as the value, over w0's
+ * span.  A call names its alive set by its entry's index.  A running call
+ * keeps its attractor and holders, and then the opponent's attractor, on
+ * a LIFO stack of words over that attractor's span.  The table, the calls
+ * and the word stack grow with what they hold; nothing is sized by n but
+ * the Step and two masks.  Python's signal handlers run every 4096 calls,
+ * so a long solve stays interruptible: when one raises, everything is
+ * freed and the exception surfaces. */
 
 typedef struct {
     Py_ssize_t entry, at; /* its alive set's entry; where its masks start on the word stack */
@@ -1130,9 +1207,7 @@ typedef struct {
     Step s;
     word *child, *res; /* the alive set being entered; the w0 just found */
     int32_t lo;        /* the child's level cursor */
-    Seen *seen;
-    Py_ssize_t nseen, seen_cap, nslots, *slots;
-    Chunk *chunks;
+    Table t;
     Call *calls;
     Py_ssize_t ncalls, calls_cap;
     word *words;
@@ -1141,129 +1216,16 @@ typedef struct {
 
 #define CHECK_SIGNALS 4095 /* calls & CHECK_SIGNALS == 0: run the signal handlers */
 
-static void *
-grown(void *buf, Py_ssize_t *cap, Py_ssize_t need, size_t size)
-{
-    /* buf, an array of *cap items of size bytes, with room for need > 0:
-     * at least doubled when it grows; NULL with MemoryError */
-    Py_ssize_t c = *cap;
-    if (need <= c)
-        return buf;
-    while (c < need)
-        c = c ? 2 * c : 16;
-    buf = (size_t)c <= PY_SSIZE_T_MAX / size ? realloc(buf, c * size) : NULL;
-    if (!buf)
-        return PyErr_NoMemory();
-    *cap = c;
-    return buf;
-}
-
-static int32_t
-span_of(const word *m, Py_ssize_t W, int32_t *lo)
-{
-    /* how many words of m run from its first non-zero one, *lo, to its
-     * last; 0, with *lo 0, when m is empty */
-    Py_ssize_t l = 0, h = W;
-    while (l < W && !m[l])
-        l++;
-    if (l == W)
-        return *lo = 0;
-    while (!m[h - 1])
-        h--;
-    *lo = (int32_t)l;
-    return (int32_t)(h - l);
-}
-
-static void
-unspan(word *m, Py_ssize_t W, const word *from, int32_t lo, int32_t span)
-{
-    /* m's W words: the span of words from, at lo */
-    memset(m, 0, W * sizeof(word));
-    if (span)
-        memcpy(m + lo, from, span * sizeof(word));
-}
-
-static uint64_t
-hash_span(const word *m, int32_t lo, int32_t span)
-{
-    uint64_t h = (uint64_t)lo * 0x9E3779B97F4A7C15ull;
-    int32_t i;
-    for (i = 0; i < span; i++) {
-        h = (h ^ m[i]) * 0xBF58476D1CE4E5B9ull;
-        h ^= h >> 31;
-    }
-    h = (h ^ h >> 33) * 0xFF51AFD7ED558CCDull;
-    return h ^ h >> 33;
-}
-
-static int
-double_slots(Solve *T)
-{
-    /* twice the slots, FIRST_SLOTS at first, each entry put back by its
-     * hash; -1 with MemoryError */
-    Py_ssize_t size = T->nslots ? 2 * T->nslots : FIRST_SLOTS, i, k;
-    Py_ssize_t *slots = (size_t)size <= PY_SSIZE_T_MAX / sizeof *slots ? malloc(size * sizeof *slots) : NULL;
-    if (!slots)
-        return PyErr_NoMemory(), -1;
-    for (i = 0; i < size; i++)
-        slots[i] = -1;
-    for (k = 0; k < T->nseen; k++) {
-        for (i = (Py_ssize_t)(T->seen[k].hash & (uint64_t)(size - 1)); slots[i] >= 0; i = (i + 1) & (size - 1))
-            ;
-        slots[i] = k;
-    }
-    free(T->slots);
-    T->slots = slots;
-    T->nslots = size;
-    return 0;
-}
-
-static Py_ssize_t
-enter_seen(Solve *T)
-{
-    /* the entry of child, made with no w0 when new; -1 with MemoryError */
-    int32_t lo, span = span_of(T->child, T->W, &lo);
-    const word *m = T->child + lo;
-    uint64_t h = hash_span(m, lo, span);
-    Py_ssize_t i;
-    Seen *e;
-    if (4 * (T->nseen + 1) > 3 * T->nslots && double_slots(T) < 0)
-        return -1;
-    for (i = (Py_ssize_t)(h & (uint64_t)(T->nslots - 1)); T->slots[i] >= 0; i = (i + 1) & (T->nslots - 1)) {
-        e = &T->seen[T->slots[i]];
-        if (e->hash == h && e->klo == lo && e->kspan == span && (!span || !memcmp(e->key, m, span * sizeof(word))))
-            return T->slots[i];
-    }
-    if (!(e = grown(T->seen, &T->seen_cap, T->nseen + 1, sizeof(Seen))))
-        return -1;
-    T->seen = e;
-    e += T->nseen;
-    e->key = e->val = NULL;
-    if (span && !(e->key = take(&T->chunks, span)))
-        return -1;
-    if (span)
-        memcpy(e->key, m, span * sizeof(word));
-    e->hash = h;
-    e->klo = lo;
-    e->kspan = span;
-    e->vlo = 0;
-    e->vspan = -1;
-    return T->slots[i] = T->nseen++;
-}
-
 static int
 store(Solve *T, Py_ssize_t entry)
 {
     /* keep res as the entry's w0; -1 with MemoryError */
+    Entry *e = &T->t.entries[entry];
     int32_t lo, span = span_of(T->res, T->W, &lo);
-    word *v = NULL;
-    if (span && !(v = take(&T->chunks, span)))
+    if (set_span(&T->t, e, lo, span, 1) < 0)
         return -1;
     if (span)
-        memcpy(v, T->res + lo, span * sizeof(word));
-    T->seen[entry].val = v;
-    T->seen[entry].vlo = lo;
-    T->seen[entry].vspan = span;
+        memcpy(e->val, T->res + lo, span * sizeof(word));
     return 0;
 }
 
@@ -1323,7 +1285,7 @@ resume(Solve *T)
      * with MemoryError */
     Step *s = &T->s;
     Call *c = &T->calls[T->ncalls - 1];
-    const Seen *e = &T->seen[c->entry];
+    const Entry *e = &T->t.entries[c->entry];
     const word *a = T->words + c->at, *hold = a + c->mspan;
     word *res = T->res, *w_opp = s->att, *saved, any = 0;
     Py_ssize_t W = T->W, j;
@@ -1396,7 +1358,8 @@ solve(PyObject *Py_UNUSED(module), PyObject *args)
     memcpy(T.child, T.s.alive, W * sizeof(word));
     for (;;) {
         /* enter a call on child, one level below the top call */
-        Seen *e;
+        int32_t lo, span;
+        Entry *e;
         calls++;
         if (T.ncalls >= depth)
             depth = T.ncalls + 1;
@@ -1404,9 +1367,10 @@ solve(PyObject *Py_UNUSED(module), PyObject *args)
             break;
         if (!(calls & CHECK_SIGNALS) && PyErr_CheckSignals() < 0)
             goto finish;
-        if ((k = enter_seen(&T)) < 0)
+        span = span_of(T.child, W, &lo);
+        if ((k = lookup(&T.t, T.child + lo, lo, span)) < 0)
             goto finish;
-        e = &T.seen[k];
+        e = &T.t.entries[k];
         if (e->vspan >= 0) {
             hits++;
             unspan(T.res, W, e->val, e->vlo, e->vspan);
@@ -1432,16 +1396,14 @@ solve(PyObject *Py_UNUSED(module), PyObject *args)
     }
     w0 = calls > limit ? Py_NewRef(Py_None) : from_words(T.res, W);
     if (w0) {
-        out = Py_BuildValue("(OLnLLO)", w0, calls, T.nseen, hits, depth, calls > limit ? Py_True : Py_False);
+        out = Py_BuildValue("(OLnLLO)", w0, calls, T.t.n, hits, depth, calls > limit ? Py_True : Py_False);
         Py_DECREF(w0);
     }
 finish:
     free(T.s.alive);
-    free(T.seen);
-    free(T.slots);
+    drop_table(&T.t);
     free(T.calls);
     free(T.words);
-    drop_chunks(T.chunks);
     return out;
 }
 
@@ -1451,14 +1413,14 @@ static PyMethodDef methods[] = {
     {"right", right, METH_VARARGS,
      "right(arena, alive, holders, w_opp, p) -> b, as solver._right_mask"},
     {"first_scc", first_scc, METH_VARARGS,
-     "first_scc(arena, alive) -> (f, strong), the two closures of solver._first_scc_py"},
+     "first_scc(arena, alive) -> (f, strong), as solver._first_scc_py"},
     {"search", search, METH_VARARGS,
      "search(arena, alive, seed, p, budget) -> (result, touched, probes), as solver._search_py"},
     {"record", record, METH_NOARGS,
      "record() -> a dominion record for one solve, the kernel's twin of solver._find_dominion_mask_py's dict"},
     {"scan", scan, METH_VARARGS,
      "scan(arena, record, alive, budget, players) -> (result, p, probes, replays), "
-     "the scan and replay loop of solver._find_dominion_mask_py"},
+     "as solver._find_dominion_mask_py"},
     {"solve", solve, METH_VARARGS,
      "solve(arena, alive, memo, limit) -> (w0, total_calls, distinct, memo_hits, max_depth, stopped), "
      "the recursion of solver.solve without the SCC and dominion layers"},

@@ -5,21 +5,15 @@ attractor of the maximal-priority positions, solve the rest, and either
 conclude directly or cut the opponent's winning part and recurse once
 more.  Each half of that plain step is one call: the max-priority lookup
 with its attractor, ``_left_mask``, and the opponent's attractor,
-``_right_mask``, both compiled (``_kernel.c``) where the system gcc can
-build them, with these Python twins as their reference and fallback.
-With neither the SCC nor the dominion layer, the kernel runs the whole
-recursion, memo included, in one call per solve, and the Python loop
-in ``solve`` is its reference and fallback.
-Three independently switchable layers wrap it:
+``_right_mask``.  Three independently switchable layers wrap it:
 
 * memoization caches the winning partition of every alive set solved
   within one top-level call;
 * SCC decomposition splits the current subgame into strongly connected
   components at every entry and solves terminal components first; the
-  first component comes from two reachability sweeps, compiled
-  (``_kernel.c``) where the system gcc can build them and core's
-  ``_closure`` in ``_first_scc_py`` otherwise, with a lowlink-free
-  depth-first search in Python only as a fallback;
+  first component comes from two reachability sweeps,
+  ``_first_scc_py``, with a lowlink-free depth-first search,
+  ``_scc_masks``, only when they do not close it;
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
   anything else.  The search keeps its branch points on an explicit
@@ -29,14 +23,22 @@ Three independently switchable layers wrap it:
   ``_cycle_heads``, which stops at the first bad cycle.  One solve
   keeps, per seed, player and size bound, the last search it ran and
   replays it (its result, plus its probes on the counter) when the
-  alive set has not changed on that search's ``touched`` mask.  The
-  search, and the scan and replay loop with its record, run compiled
-  (``_kernel.c``) where the system gcc can build them, with
-  ``_search_py`` and ``_find_dominion_mask_py`` as their reference and
-  fallback.
+  alive set has not changed on that search's ``touched`` mask: the scan
+  and replay loop is ``_find_dominion_mask_py``, one search
+  ``_search_py``.
   ``is_dominion`` certifies a given candidate: a trap for the
   opponent under core's one-step forcing rule that a plain solve of it
   gives to the player.
+
+Where the system gcc can build it, a compiled kernel (``_kernel.c``)
+runs ``_left_mask``, ``_right_mask``, ``_first_scc_py``, ``_search_py``
+and ``_find_dominion_mask_py``, and, with neither the SCC nor the
+dominion layer, the whole recursion, memo included, in one call per
+solve.  Each of those Python functions, and ``solve``'s own loop, is its
+compiled twin's reference and fallback, and each function keeps its
+twin's contract: the same arguments, with the game in place of the
+packed arena, and the same return values.  ``solve`` chooses the
+backend once per solve.
 
 None of the layers ever changes the returned regions, only the shape and
 amount of work, which the returned ``SolveStats`` makes observable.
@@ -198,28 +200,15 @@ def _scc_masks(game: ParityGame, alive: int) -> list[int]:
     return comps
 
 
-def _first_scc_py(game: ParityGame, alive: int) -> int:
-    # ``_scc_masks(game, alive)[0]``, mostly without decomposing.  The
-    # search's first tree starts at the lowest alive position r and
-    # covers exactly its forward closure F, so the first component
-    # emitted lies in F and is found by decomposing F alone (F is closed
-    # under alive moves).  When every position of F reaches r, F is that
-    # component.
+def _first_scc_py(game: ParityGame, alive: int) -> tuple[int, bool]:
+    # the kernel's ``first_scc``: the forward closure F of the lowest alive
+    # position r, and whether every position of F reaches r inside F.  The
+    # decomposition's first tree starts at r and covers exactly F, so its
+    # first component lies in F and is ``_scc_masks(game, F)[0]`` (F is
+    # closed under alive moves); when F is strong, it is F itself
     r = alive & -alive
     f = _closure(game.succ_masks, alive, r)
-    if _closure(game.pred_masks, f, r) == f:
-        return f
-    return _scc_masks(game, f)[0]
-
-
-def _first_scc(game: ParityGame, alive: int) -> int:
-    """``_first_scc_py``'s component, with both closures from the compiled
-    kernel when it loads and from ``_first_scc_py`` when not."""
-    kernel = _kernel if _kernel is not False else _load_kernel()
-    if kernel is None:
-        return _first_scc_py(game, alive)
-    f, strong = kernel.first_scc(game.packed or _pack(game), alive)
-    return f if strong else _scc_masks(game, f)[0]
+    return f, _closure(game.pred_masks, f, r) == f
 
 
 def scc_split(g: Subgame) -> list[PositionSet]:
@@ -370,23 +359,26 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
 # ---------------------------------------------------------------------------
 # the compiled kernel
 #
-# ``_kernel.c`` runs ``_left_mask``, ``_right_mask``, both closures of
-# ``_first_scc_py``, the whole of ``_search_py``, the loop of
-# ``_find_dominion_mask_py`` on a record it owns for one solve, and, for
-# a configuration with neither the SCC nor the dominion layer, the whole
-# of ``solve``'s loop with its seen table and memo, all on W-word
-# bitsets, and returns what they need or give.  It is built with
-# the system gcc on the first solve of a process, never at import, and
-# cached under $XDG_CACHE_HOME/paritylab (~/.cache/paritylab) as
-# ``_kernel-<sha256 of the source><extension suffix>``.  ``_kernel`` is
-# False until that first use, then the loaded module, or None when the
-# build or the load failed: one attempt per process, and the Python
-# functions run from then on.  Tests set it to None to force the Python
-# path.  With either layer on, the recursion, the memo, the
-# ``_scc_masks`` fallback and the attractors of the SCC and dominion
-# branches stay Python around the kernel's calls: those branches' seeds
-# are mostly small, and a kernel call costs more than a Python attractor
-# of one position.
+# ``_kernel.c`` runs ``_left_mask``, ``_right_mask``, ``_first_scc_py``,
+# ``_search_py``, ``_find_dominion_mask_py`` on a record it owns for one
+# solve, and, for a configuration with neither the SCC nor the dominion
+# layer, the whole of ``solve``'s loop with its seen table and memo, all
+# on W-word bitsets.  Each compiled function takes its twin's arguments,
+# the packed arena in place of the game, and returns its twin's values,
+# so a caller picks a backend by picking the function: ``solve`` picks
+# once, for every step of one solve, ``_search_dominion`` by whether the
+# kernel loads, and ``_find_dominion_mask`` by the record it is handed.
+# The kernel is built with the system gcc on the first solve of a
+# process, never at import, and cached under $XDG_CACHE_HOME/paritylab
+# (~/.cache/paritylab) as ``_kernel-<sha256 of the source><extension
+# suffix>``.  ``_kernel`` is False until that first use, then the loaded
+# module, or None when the build or the load failed: one attempt per
+# process, and the Python functions run from then on.  Tests set it to
+# None to force the Python path.  With either layer on, the recursion,
+# the memo, the ``_scc_masks`` fallback and the attractors of the SCC
+# and dominion branches stay Python around the kernel's calls: those
+# branches' seeds are mostly small, and a kernel call costs more than a
+# Python attractor of one position.
 
 _kernel: object = False
 
@@ -423,15 +415,16 @@ def _kernel_module() -> object:
 
 
 def _build_kernel(source: str, path: str) -> None:
-    # compile into a temporary file beside ``path``, move it into place,
-    # then drop the builds of other sources (``_kernel-<other hash>.*``);
-    # a failed build takes away the directories it made, innermost first
+    # compile into a temporary file beside ``path`` and move it into place;
+    # builds of other sources stay, since another checkout sharing the
+    # cache may load them.  A failed build takes away the directories it
+    # made, innermost first
     import subprocess
     import sysconfig
     import tempfile
     from contextlib import suppress
 
-    cache, name = os.path.split(os.path.abspath(path))
+    cache = os.path.dirname(os.path.abspath(path))
     made = []
     missing = cache
     while not os.path.isdir(missing):
@@ -455,13 +448,6 @@ def _build_kernel(source: str, path: str) -> None:
             with suppress(OSError):  # not empty: another process built into it
                 os.rmdir(directory)
         raise
-    keep = name.split(".")[0]
-    for other in os.listdir(cache):
-        if other.startswith("_kernel-") and other.split(".")[0] != keep:
-            try:
-                os.unlink(os.path.join(cache, other))
-            except FileNotFoundError:  # another process removed it first
-                pass
 
 
 def _pack(game: ParityGame) -> bytes:
@@ -490,15 +476,6 @@ def _pack(game: ParityGame) -> bytes:
     return packed
 
 
-def _search(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> tuple[Optional[int], int, int]:
-    """``_search_py``'s closure, ``touched`` mask and probe count, from the
-    compiled kernel when it loads and from ``_search_py`` when not."""
-    kernel = _kernel if _kernel is not False else _load_kernel()
-    if kernel is None:
-        return _search_py(game, alive, seed, p, budget)
-    return kernel.search(game.packed or _pack(game), alive, seed, p, budget)
-
-
 def _search_dominion(
     game: ParityGame,
     alive: int,
@@ -507,8 +484,14 @@ def _search_dominion(
     budget: int,
     stats: SolveStats,
 ) -> Optional[int]:
-    """The closure ``_search`` finds, with its probes added to ``stats``."""
-    found, _, probes = _search(game, alive, seed, p, budget)
+    """``_search_py``'s closure, from the compiled kernel's ``search`` when
+    it loads and from ``_search_py`` when not, with its probes added to
+    ``stats``."""
+    kernel = _kernel if _kernel is not False else _load_kernel()
+    if kernel is None:
+        found, _, probes = _search_py(game, alive, seed, p, budget)
+    else:
+        found, _, probes = kernel.search(game.packed or _pack(game), alive, seed, p, budget)
     stats.dominion_probes += probes
     return found
 
@@ -522,12 +505,14 @@ def _find_dominion_mask(
     record: object,
 ) -> Optional[tuple[int, int]]:
     """The first dominion of at most ``max_size`` positions, with its
-    player, by ``_find_dominion_mask_py``'s scan: in the compiled kernel's
-    ``scan`` when ``record`` is the kernel's, in Python when it is a dict.
-    A fresh record makes every search run."""
+    player, by the compiled kernel's ``scan`` when ``record`` is the
+    kernel's and by ``_find_dominion_mask_py`` when it is a dict, with
+    the scan's probes and replays added to ``stats``.  A fresh record makes
+    every search run."""
     if isinstance(record, dict):
-        return _find_dominion_mask_py(game, alive, max_size, players, stats, record)
-    found, p, probes, replays = _kernel.scan(game.packed or _pack(game), record, alive, max_size, players)
+        found, p, probes, replays = _find_dominion_mask_py(game, record, alive, max_size, players)
+    else:
+        found, p, probes, replays = _kernel.scan(game.packed or _pack(game), record, alive, max_size, players)
     stats.dominion_probes += probes
     stats.dominion_replays += replays
     return None if found is None else (found, p)
@@ -535,20 +520,22 @@ def _find_dominion_mask(
 
 def _find_dominion_mask_py(
     game: ParityGame,
-    alive: int,
-    max_size: int,
-    players: tuple[int, ...],
-    stats: SolveStats,
     record: dict[int, tuple[int, int, Optional[int], int]],
-) -> Optional[tuple[int, int]]:
-    # ``record`` maps (seed, p, budget), packed into one int, to the last
-    # search run for it: (touched, alive & touched, result, probes).  An
-    # entry whose alive bits still agree on ``touched`` is replayed: its
-    # result is reused and its probes are added.  A budget of n or more
-    # is keyed as n, as the kernel keys it: no probe commits more than n
-    # positions, so such a budget never prunes and searches cannot tell
-    # those budgets apart.
-    base = min(max_size, game.n) * game.n
+    alive: int,
+    budget: int,
+    players: tuple[int, ...],
+) -> tuple[Optional[int], Optional[int], int, int]:
+    # the kernel's ``scan``: the first dominion of at most ``budget``
+    # positions and its player (both None when there is none), the probes
+    # and the replays.  ``record`` maps (seed, p, budget), packed into one
+    # int, to the last search run for it: (touched, alive & touched,
+    # result, probes).  An entry whose alive bits still agree on
+    # ``touched`` is replayed: its result is reused and its probes are
+    # added.  A budget of n or more is keyed as n, as the kernel keys it:
+    # no probe commits more than n positions, so such a budget never
+    # prunes and searches cannot tell those budgets apart.
+    base = min(budget, game.n) * game.n
+    probes = replays = 0
     m = alive
     while m:
         low = m & -m
@@ -557,15 +544,15 @@ def _find_dominion_mask_py(
             key = (base + seed) << 1 | p
             entry = record.get(key)
             if entry is not None and alive & entry[0] == entry[1]:
-                stats.dominion_replays += 1
+                replays += 1
             else:
-                res, touched, probes = _search(game, alive, seed, p, max_size)
-                entry = record[key] = (touched, alive & touched, res, probes)
-            stats.dominion_probes += entry[3]
+                res, touched, cost = _search_py(game, alive, seed, p, budget)
+                entry = record[key] = (touched, alive & touched, res, cost)
+            probes += entry[3]
             if entry[2] is not None:
-                return entry[2], p
+                return entry[2], p, probes, replays
         m ^= low
-    return None
+    return None, None, probes, replays
 
 
 def _require_player(p: Player | int) -> None:
@@ -690,14 +677,15 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
         if stopped:
             raise CallLimitExceeded(cfg.call_limit, stats)
         return Regions(PositionSet(game, result), PositionSet(game, g.alive.mask & ~result)), stats
-    # the plain step: its two halves from the kernel on the packed arena,
-    # or their Python twins on the game; and the dominion searches already
+    # the backend, once per solve: both halves of the plain step and the
+    # SCC layer's closure check from the kernel on the packed arena, or
+    # their Python twins on the game, and the dominion searches already
     # run, for replaying (see _find_dominion_mask), in the kernel's record
     # or a dict
     if kernel is None:
-        left, right, record = _left_mask, _right_mask, {}
+        left, right, first_scc, record = _left_mask, _right_mask, _first_scc_py, {}
     else:
-        left, right, record = kernel.left, kernel.right, kernel.record()
+        left, right, first_scc, record = kernel.left, kernel.right, kernel.first_scc, kernel.record()
     stats = SolveStats()
     memo = cfg.memoization
     # every entered alive mask; with memoization, mapped to its w0 once
@@ -707,6 +695,10 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
+
+    def first_component(alive: int) -> int:
+        f, strong = first_scc(arena, alive)
+        return f if strong else _scc_masks(game, f)[0]
 
     def call(alive: int, lo: int, strong: bool) -> Generator[tuple[int, int, bool], int, int]:
         # one call on a non-empty alive set that no priority level before
@@ -721,7 +713,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 r0 = yield alive & ~a, lo, False
                 return r0 | a if p == 0 else r0
         if scc_on and not strong:
-            comp = _first_scc(game, alive)
+            comp = first_component(alive)
             if comp != alive:
                 # solve a terminal component, attract both of its regions
                 # within what is left, and repeat on the rest
@@ -737,7 +729,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                         rem &= ~_attractor_mask(game, rem, c1, 1)
                     if not rem:
                         return w0
-                    comp = _first_scc(game, rem)
+                    comp = first_component(rem)
         p, i, holders, a = left(arena, alive, lo)
         rest = alive & ~a
         l0 = yield rest, i + 1, False

@@ -123,18 +123,33 @@ def test_scc_split_disjoint_loops():
     assert sorted(c.mask for c in comps) == [0b01, 0b10]
 
 
+def _kernels():
+    # the values of ``solver._kernel`` a check runs under: None for the
+    # Python path, then the loaded kernel where it builds
+    kernel = solver._kernel if solver._kernel is not False else solver._load_kernel()
+    return [None] if kernel is None else [None, kernel]
+
+
 def test_component_children_skip_their_scc_check(monkeypatch):
     # m disjoint 2-cycles: each component the split yields is strongly
-    # connected already, so only the split itself runs the check
+    # connected already, so only the split itself runs the check, counted
+    # through the twin on the Python path and through the kernel's
+    # ``first_scc`` on the compiled one
     m = 5
     g = mk([v % 2 for v in range(2 * m)], list(range(2 * m)), [[v ^ 1] for v in range(2 * m)])
-    runs = []
-    check = solver._first_scc
-    monkeypatch.setattr(solver, "_first_scc", lambda game, alive: runs.append(alive) or check(game, alive))
-    regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
-    assert len(runs) == m
-    assert (stats.total_calls, stats.distinct_subgames) == (11, 7)
-    assert regions.of(1).mask == g.full_mask
+    check = solver._first_scc_py
+    for kernel in _kernels():
+        calls = []
+        if kernel is None:
+            monkeypatch.setattr(solver, "_kernel", None)
+            monkeypatch.setattr(solver, "_first_scc_py", lambda *args: calls.append("first_scc") or check(*args))
+        else:
+            monkeypatch.setattr(solver, "_first_scc_py", check)
+            monkeypatch.setattr(solver, "_kernel", _Counted(kernel, calls))
+        regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
+        assert calls.count("first_scc") == m, kernel
+        assert (stats.total_calls, stats.distinct_subgames) == (11, 7)
+        assert regions.of(1).mask == g.full_mask
 
 
 def test_scc_split_on_recursion_remainder(core1):
@@ -183,10 +198,12 @@ def test_find_dominion_rejects_bad_size(whole_core1):
 
 @pytest.mark.parametrize("players", [(2,), (-1,), (0, 2), ("0",)])
 def test_find_dominion_rejects_bad_players(whole_core1, players, monkeypatch):
-    # before any search, so the same on the compiled and the Python path
-    monkeypatch.setattr(solver, "_search", lambda *args: pytest.fail("searched"))
-    with pytest.raises(ValueError, match="player must be 0 or 1"):
-        find_dominion(whole_core1, 2, players=players)
+    # before any scan, which both backends run through ``_find_dominion_mask``
+    monkeypatch.setattr(solver, "_find_dominion_mask", lambda *args: pytest.fail("searched"))
+    for kernel in _kernels():
+        monkeypatch.setattr(solver, "_kernel", kernel)
+        with pytest.raises(ValueError, match="player must be 0 or 1"):
+            find_dominion(whole_core1, 2, players=players)
 
 
 @pytest.mark.parametrize("p", [2, -1])
@@ -227,7 +244,7 @@ def test_the_certificate_stops_at_the_first_bad_cycle(backend, monkeypatch):
         monkeypatch.setattr(core, "_closure", lambda *args: calls.append(args) or closure(*args))
     else:
         _compiled()
-    assert solver._search(g, g.full_mask, 0, 1, n) == (None, g.full_mask, 1)
+    assert _searcher(backend)(g, g.full_mask, 0, 1, n) == (None, g.full_mask, 1)
     assert len(calls) == (backend == "python")
 
 
@@ -404,28 +421,33 @@ def _scc_cases(draw):
 
 
 def _first_scc_backend(backend):
-    # one backend's closure check, (game, alive) -> the first component
+    # one backend's closure check, (game, alive) -> (f, strong)
     if backend == "python":
         return solver._first_scc_py
-    _compiled()
-    return solver._first_scc
+    kernel = _compiled()
+    return lambda g, alive: kernel.first_scc(g.packed or solver._pack(g), alive)
+
+
+def _first_component(first_scc, g, alive):
+    # the first component, from the closure check as the SCC layer takes it
+    f, strong = first_scc(g, alive)
+    return f if strong else solver._scc_masks(g, f)[0]
 
 
 @pytest.mark.parametrize("backend", ["python", "kernel"])
 @settings(max_examples=400, deadline=None)
 @given(_scc_cases())
 def test_first_scc_matches_tarjan(backend, case):
+    # the forward closure of the lowest alive position, and whether it is
+    # the first component already
     first_scc = _first_scc_backend(backend)
     g, alive = case
     comps = _tarjan(g, alive)
     assert solver._scc_masks(g, alive) == comps
-    assert first_scc(g, alive) == comps[0]
-    if backend == "kernel":
-        # the kernel's own answer: the forward closure of the lowest alive
-        # position, and whether it is the first component already
-        f, strong = _compiled().first_scc(g.packed or solver._pack(g), alive)
-        assert f == core._closure(g.succ_masks, alive, alive & -alive)
-        assert strong == (f == comps[0])
+    f, strong = first_scc(g, alive)
+    assert f == core._closure(g.succ_masks, alive, alive & -alive)
+    assert strong == (f == comps[0])
+    assert _first_component(first_scc, g, alive) == comps[0]
 
 
 @pytest.mark.parametrize("backend", ["python", "kernel"])
@@ -440,7 +462,7 @@ def test_first_scc_at_word_edges(backend, n):
     g = mk([rng.randrange(2) for _ in range(n)], list(range(n)), successors)
     for alive in (g.full_mask, rng.randint(1, g.full_mask), g.full_mask & ~1):
         while alive:
-            comp = first_scc(g, alive)
+            comp = _first_component(first_scc, g, alive)
             assert comp == _tarjan(g, alive)[0], (n, alive)
             alive &= ~comp
 
@@ -453,7 +475,7 @@ def test_first_scc_of_nothing_reads_nothing(backend):
     reads = [0]
     for name in ("succ_masks", "pred_masks"):
         object.__setattr__(g, name, _counting(getattr(g, name), reads))
-    assert first_scc(g, 0) == 0
+    assert first_scc(g, 0) == (0, True)
     assert reads == [0]
 
 
@@ -482,10 +504,10 @@ def _scan_both(g, alive, bound, players, records):
     # one scan through ``_find_dominion_mask`` on the record ``records[0]``
     # and one through the Python twin on the dict ``records[1]``: both
     # answers, probes and replays must agree
-    got, want = SolveStats(), SolveStats()
+    got = SolveStats()
     found = solver._find_dominion_mask(g, alive, bound, players, got, records[0])
-    assert found == solver._find_dominion_mask_py(g, alive, bound, players, want, records[1]), (alive, bound, players)
-    assert (got.dominion_probes, got.dominion_replays) == (want.dominion_probes, want.dominion_replays)
+    want = solver._find_dominion_mask_py(g, records[1], alive, bound, players)
+    assert (*(found or (None, None)), got.dominion_probes, got.dominion_replays) == want, (alive, bound, players)
     return found, got
 
 
@@ -553,6 +575,22 @@ def test_kernel_scan_matches_the_python_scan(case):
         for bound in (default_dominion_bound(alive.bit_count()), *range(1, 7), g.n, g.n + 1, 2**70):
             for players in ((0, 1), (1, 0), (0,), (1,), (0, 0), ()):
                 _scan_both(g, alive, bound, players, records)
+
+
+def test_a_dict_record_scan_calls_no_kernel_function(monkeypatch):
+    # with the kernel loaded, a scan on a dict record runs the Python
+    # search, so the Python side of the scan checks above is all Python;
+    # a kernel record's scan is one kernel call
+    calls = []
+    monkeypatch.setattr(solver, "_kernel", _Counted(_compiled(), calls))
+    g = gen_scc(2)
+    for record in ({}, solver._kernel.record()):
+        del calls[:]
+        for bound in (1, 2, g.n):
+            stats = SolveStats()
+            solver._find_dominion_mask(g, g.full_mask, bound, (0, 1), stats, record)
+            assert stats.dominion_probes > 0
+        assert calls == ([] if isinstance(record, dict) else ["scan"] * 3)
 
 
 def test_kernel_record_grows_replays_and_overwrites():
@@ -739,7 +777,7 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
 _SANITIZED_RUN = """
 import random, signal, sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
-from paritylab import CallLimitExceeded, ParityGame, SolverConfig, SolveStats, Subgame, core, gen_core, solver
+from paritylab import CallLimitExceeded, ParityGame, SolverConfig, Subgame, core, gen_core, solver
 
 loader = ExtensionFileLoader("paritylab._kernel", sys.argv[1])
 kernel = loader.create_module(ModuleSpec("paritylab._kernel", loader, origin=sys.argv[1]))
@@ -805,9 +843,7 @@ def scan(g, chain, budgets, orders):
     for alive in chain:
         for budget in budgets:
             for players in orders:
-                stats = SolveStats()
-                found = solver._find_dominion_mask_py(g, alive, budget, players, stats, records[1])
-                want = (*(found or (None, None)), stats.dominion_probes, stats.dominion_replays)
+                want = solver._find_dominion_mask_py(g, records[1], alive, budget, players)
                 assert kernel.scan(arena, records[0], alive, budget, players) == want, (g.n, alive, budget, players)
                 searches += 1
 
@@ -1323,17 +1359,20 @@ def test_without_a_compiler_the_python_search_runs(monkeypatch, tmp_path):
 
 
 def test_the_build_is_cached_per_source(monkeypatch, tmp_path):
+    # a build of another source, as another checkout sharing the cache
+    # leaves it, stays beside the new one
     _compiled()
     cache = tmp_path / "paritylab"
     cache.mkdir()
-    stale = cache / "_kernel-0000.so"
-    stale.write_bytes(b"")
+    other = cache / "_kernel-0000.so"
+    other.write_bytes(b"")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(solver, "_kernel", False)
     builds = _count_builds(monkeypatch)
     assert solver._load_kernel() is not None
     built = sorted(f.name for f in cache.iterdir())
-    assert len(builds) == 1 and len(built) == 1 and built[0].startswith("_kernel-")
+    assert len(builds) == 1 and len(built) == 2 and other.name in built
+    assert all(name.startswith("_kernel-") for name in built)
     monkeypatch.setattr(solver, "_kernel", False)
     assert solver._load_kernel() is not None
     assert len(builds) == 1

@@ -1,9 +1,9 @@
 /* The hot spots of solver.py, compiled: the plain step of the recursion
- * (``_left_mask`` and ``_right_mask``) and, without the SCC and dominion
- * layers, the whole recursion with its seen table and memo, the SCC
- * layer's closure check (``_first_scc_py``), and the dominion layer's
- * bounded search (``_search_py``) with its scan and replay loop
- * (``_find_dominion_mask_py``).
+ * (``_left_mask`` and ``_right_mask``), the SCC layer's first component
+ * (``_first_scc_py`` with its ``_scc_masks`` fallback), the dominion
+ * layer's bounded search (``_search_py``) with its scan and replay loop
+ * (``_find_dominion_mask_py``), and the whole recursion with its seen
+ * table, memo and dominion record, every layer's step included.
  *
  * ``left(arena, alive, lo)`` returns ``(p, i, holders, a)``: the level
  * index i of the highest alive priority, found from the cursor lo by
@@ -12,11 +12,12 @@
  * returns the opponent's attractor of w_opp, whose first layer grows only
  * from the positions of w_opp that holders move into, as ``_right_mask``
  * asks of core's ``_attractor_mask``.  Both return the seed object itself
- * when nothing joins it.  ``first_scc(arena, alive)`` returns ``(f,
- * strong)``: f is the forward closure of the lowest alive position r
- * inside alive, and strong says whether every position of f reaches r
- * inside f, the two sweeps of core's ``_closure`` that ``_first_scc_py``
- * makes.  ``search(arena, alive, seed, p, budget)`` returns the same
+ * when nothing joins it.  ``first_scc(arena, alive)`` returns the first
+ * component ``_scc_masks`` emits, as ``_first_scc_py`` finds it: F, the
+ * forward closure of the lowest alive position r, when every position of
+ * F reaches r inside F (the two sweeps of core's ``_closure``), and
+ * otherwise the first component of a depth-first search of F alone that
+ * stops there.  ``search(arena, alive, seed, p, budget)`` returns the same
  * ``(result, touched, probes)`` as ``_search_py``: the closure found (or
  * None), the touched mask and the number of probes.  ``record()`` makes
  * an empty dominion record, a capsule that frees its table when the solve
@@ -28,11 +29,11 @@
  * ``(result, p, probes, replays)``, with result and p None when no
  * dominion is found.  It reads alive and builds both opponent masks once
  * per call, and all its searches share one block.  ``solve(arena, alive,
- * memo, limit)`` runs the recursion of solver.solve for a configuration
- * with neither the SCC nor the dominion layer, memoized when memo is
- * true and stopped once more than limit calls are entered (None: never),
- * and returns ``(w0, total_calls, distinct, memo_hits, max_depth,
- * stopped)``, w0 None when stopped.  Masks are W-word bitsets with
+ * memo, scc, dom, limit)`` runs the recursion of solver.solve, with the
+ * memo, the SCC and the dominion layer each on when its flag is true,
+ * stopped once more than limit calls are entered (None: never), and
+ * returns ``(w0, total_calls, distinct, memo_hits, max_depth, probes,
+ * replays, stopped)``, w0 None when stopped.  Masks are W-word bitsets with
  * W = ceil(n / 64).  The arena is the bytes object
  * ``solver._pack`` builds once per game, native int32s:
  *
@@ -440,36 +441,11 @@ unpack(PyObject *packed, Arena *a)
     return 0;
 }
 
-static int
-prepare(Search *S, PyObject *packed, PyObject *alive, long long budget)
+static void
+opponents(Search *S)
 {
-    /* the set-up search and scan share: the arena, the budget cut to n
-     * (no probe commits more than n positions, so a budget of n or more
-     * never prunes and searches cannot tell such budgets apart), and the
-     * call's one block: alive, both players' opponent masks (player p's
-     * at opps + p W), touched and seen, the frames' masks, the frames,
-     * then edge and queue.  Returns -1 with an exception set */
-    Py_ssize_t W, nf, i;
-    int32_t n;
-    memset(S, 0, sizeof *S);
-    if (unpack(packed, &S->a) < 0)
-        return -1;
-    n = S->a.n;
-    S->budget = budget < n ? budget : n;
-    S->W = W = (n + 63) / 64;
-    nf = (S->budget < 1 ? 1 : S->budget) + 1; /* the frame bound above */
-    if ((size_t)nf > PY_SSIZE_T_MAX / 2 / (3 * W * sizeof(word) + sizeof(Frame)))
-        return PyErr_NoMemory(), -1; /* a block too big to size, on a 32-bit host */
-    S->alive = load(alive, n, (3 * nf + 4) * W * sizeof(word) + nf * sizeof(Frame) + 2 * (size_t)n * sizeof(int32_t));
-    if (!S->alive)
-        return -1;
-    S->opps = S->alive + W;
-    S->touched = S->opps + 2 * W;
-    S->seen = S->touched + W;
-    S->masks = S->seen + W;
-    S->frames = (Frame *)(S->masks + 3 * nf * W);
-    S->edge = (int32_t *)(S->frames + nf);
-    S->queue = S->edge + n;
+    /* both players' opponent masks of S's alive: player p's at opps + p W */
+    Py_ssize_t W = S->W, i;
     memset(S->opps, 0, 2 * W * sizeof(word));
     for (i = 0; i < W; i++) {
         word m = S->alive[i];
@@ -482,6 +458,40 @@ prepare(Search *S, PyObject *packed, PyObject *alive, long long budget)
                 ADD(S->opps + W, v);
         }
     }
+}
+
+static int
+prepare(Search *S, PyObject *packed, PyObject *alive, long long budget, size_t extra)
+{
+    /* the set-up search, scan and solve share: the arena, the budget cut
+     * to n (no probe commits more than n positions, so a budget of n or
+     * more never prunes and searches cannot tell such budgets apart), and
+     * one block: alive, both players' opponent masks, touched and seen,
+     * the frames' masks, the frames, then edge and queue, and extra bytes
+     * after queue's n ints for the caller.  Returns -1 with an exception
+     * set */
+    Py_ssize_t W, nf;
+    int32_t n;
+    memset(S, 0, sizeof *S);
+    if (unpack(packed, &S->a) < 0)
+        return -1;
+    n = S->a.n;
+    S->budget = budget < n ? budget : n;
+    S->W = W = (n + 63) / 64;
+    nf = (S->budget < 1 ? 1 : S->budget) + 1; /* the frame bound above */
+    if ((size_t)nf > PY_SSIZE_T_MAX / 2 / (3 * W * sizeof(word) + sizeof(Frame)))
+        return PyErr_NoMemory(), -1; /* a block too big to size, on a 32-bit host */
+    S->alive = load(alive, n, (3 * nf + 4) * W * sizeof(word) + nf * sizeof(Frame) + 2 * (size_t)n * sizeof(int32_t) + extra);
+    if (!S->alive)
+        return -1;
+    S->opps = S->alive + W;
+    S->touched = S->opps + 2 * W;
+    S->seen = S->touched + W;
+    S->masks = S->seen + W;
+    S->frames = (Frame *)(S->masks + 3 * nf * W);
+    S->edge = (int32_t *)(S->frames + nf);
+    S->queue = S->edge + n;
+    opponents(S);
     return 0;
 }
 
@@ -529,7 +539,7 @@ search(PyObject *Py_UNUSED(module), PyObject *args)
         return NULL;
     if (overflow)
         b = overflow > 0 ? LLONG_MAX : -1;
-    if (prepare(&S, packed, alive, b) < 0)
+    if (prepare(&S, packed, alive, b, 0) < 0)
         return NULL;
     if (seed < 0 || seed >= S.a.n || (p != 0 && p != 1)) {
         PyErr_SetString(PyExc_ValueError, "seed or player out of range");
@@ -819,15 +829,55 @@ keep(Table *t, Entry *e, const Search *S, int found)
     return 0;
 }
 
+static Py_ssize_t
+scan_seeds(Search *S, Table *t, const int32_t *players, Py_ssize_t np, int *p, long long *probes, long long *replayed)
+{
+    /* _find_dominion_mask_py's loop over S's alive, opponent masks and
+     * budget, on the record t: seeds ascending, players in the order
+     * given, each (seed, p, budget) replayed from t when alive still
+     * agrees with its last search on that search's touched mask and
+     * searched again otherwise, its entry overwritten.  The probes and
+     * replays are added to *probes and *replayed.  Returns the index of
+     * the entry whose closure was found, with its player in p, -1 when no
+     * dominion is found, -2 with MemoryError */
+    Py_ssize_t i, k;
+    for (i = 0; i < S->W; i++) {
+        word m = S->alive[i];
+        while (m) {
+            int32_t seed = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+            for (k = 0; k < np; k++) {
+                word key[2] = {(word)seed << 1 | (word)players[k], (word)S->budget};
+                Py_ssize_t at = lookup(t, key, 0, 2);
+                Entry *e;
+                if (at < 0)
+                    return -2;
+                e = &t->entries[at];
+                if (e->vspan >= 0 && replays(e, S->alive))
+                    ++*replayed;
+                else if (keep(t, e, S, start(S, seed, players[k])) < 0)
+                    return -2;
+                *probes += e->probes;
+                if (e->found) {
+                    *p = players[k];
+                    return at;
+                }
+            }
+        }
+    }
+    return -1;
+}
+
 static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *packed, *capsule, *alive, *budget, *players, *seq, **items, *res, *out = NULL;
     Record *R;
     Search S;
-    Py_ssize_t np, i, k;
+    Py_ssize_t np, k, at;
     long long b, probes = 0, replayed = 0;
-    int overflow;
+    int32_t *ps;
+    int overflow, p;
     if (!PyArg_ParseTuple(args, "SO!OOO", &packed, &PyCapsule_Type, &capsule, &alive, &budget, &players))
         return NULL;
     R = PyCapsule_GetPointer(capsule, RECORD_NAME);
@@ -856,48 +906,32 @@ scan(PyObject *Py_UNUSED(module), PyObject *args)
             return NULL;
         }
     }
-    if (prepare(&S, packed, alive, b) < 0) {
+    /* the players go in the block, after queue */
+    if (prepare(&S, packed, alive, b, np * sizeof(int32_t)) < 0) {
         Py_DECREF(seq);
         return NULL;
     }
+    ps = S.queue + S.a.n;
+    for (k = 0; k < np; k++)
+        ps[k] = (int32_t)PyLong_AsLong(items[k]);
     if (R->n && R->n != S.a.n) {
         PyErr_SetString(PyExc_ValueError, "the record belongs to an arena of another size");
         goto finish;
     }
     R->n = S.a.n;
-    /* seeds ascending, players in the order given, as _find_dominion_mask_py */
-    for (i = 0; i < S.W; i++) {
-        word m = S.alive[i];
-        while (m) {
-            int32_t seed = (int32_t)(i * 64 + __builtin_ctzll(m));
-            m &= m - 1;
-            for (k = 0; k < np; k++) {
-                int p = (int)PyLong_AsLong(items[k]);
-                word key[2] = {(word)seed << 1 | (word)p, (word)S.budget};
-                Py_ssize_t at = lookup(&R->t, key, 0, 2);
-                Entry *e;
-                if (at < 0)
-                    goto finish;
-                e = &R->t.entries[at];
-                if (e->vspan >= 0 && replays(e, S.alive))
-                    replayed++;
-                else if (keep(&R->t, e, &S, start(&S, seed, p)) < 0)
-                    goto finish;
-                probes += e->probes;
-                if (e->found) {
-                    /* the closure back to W words, in seen */
-                    unspan(S.seen, S.W, e->val + 2 * e->vspan, e->vlo, e->vspan);
-                    res = from_words(S.seen, S.W);
-                    if (res) {
-                        out = Py_BuildValue("(OiLL)", res, p, probes, replayed);
-                        Py_DECREF(res);
-                    }
-                    goto finish;
-                }
-            }
+    at = scan_seeds(&S, &R->t, ps, np, &p, &probes, &replayed);
+    if (at == -1)
+        out = Py_BuildValue("(OOLL)", Py_None, Py_None, probes, replayed);
+    else if (at >= 0) {
+        /* the closure back to W words, in seen */
+        const Entry *e = &R->t.entries[at];
+        unspan(S.seen, S.W, e->val + 2 * e->vspan, e->vlo, e->vspan);
+        res = from_words(S.seen, S.W);
+        if (res) {
+            out = Py_BuildValue("(OiLL)", res, p, probes, replayed);
+            Py_DECREF(res);
         }
     }
-    out = Py_BuildValue("(OOLL)", Py_None, Py_None, probes, replayed);
 finish:
     Py_DECREF(seq);
     free(S.alive);
@@ -926,36 +960,139 @@ sweep(const int32_t *off, const int32_t *tgt, const word *within, int32_t r, wor
     return tail;
 }
 
+/* the first component's scratch: F and the backward closure (W words
+ * each), then, over F's positions, a depth-first path, the sweeps' queue
+ * (later the discovery order) and discovery indices (n of each), and the
+ * path's sorted successors (m ints).  ``first_scc`` makes one per call,
+ * ``solve`` one per solve */
+typedef struct {
+    int32_t v, next, end, low; /* a path position, its successors next..end in buf, the least index they reach */
+} Visit;
+
+typedef struct {
+    word *fwd, *back;
+    Visit *path;
+    int32_t *queue, *idx, *buf;
+} Comp;
+
+static size_t
+comp_bytes(const Arena *a)
+{
+    return 2 * (size_t)((a->n + 63) / 64) * sizeof(word) + a->n * (sizeof(Visit) + 2 * sizeof(int32_t))
+        + a->off[a->n] * sizeof(int32_t);
+}
+
+static void
+comp_layout(Comp *c, const Arena *a, word *at)
+{
+    Py_ssize_t W = (a->n + 63) / 64;
+    c->fwd = at;
+    c->back = at + W;
+    c->path = (Visit *)(c->back + W);
+    c->queue = (int32_t *)(c->path + a->n);
+    c->idx = c->queue + a->n;
+    c->buf = c->idx + a->n;
+}
+
+static int
+ascending(const void *x, const void *y)
+{
+    int32_t u = *(const int32_t *)x, v = *(const int32_t *)y;
+    return (u > v) - (u < v);
+}
+
+static int32_t
+visit(const Arena *a, Comp *c, int32_t d, int32_t top, int32_t v, int32_t found)
+{
+    /* v, the found-th position discovered, enters the path at depth d
+     * with its successors in F, ascending, from buf[top]; returns where
+     * they end */
+    Visit *f = &c->path[d];
+    int32_t k;
+    ADD(c->back, v);
+    c->idx[v] = found;
+    c->queue[found] = v;
+    f->v = v;
+    f->next = top;
+    f->low = found;
+    for (k = a->off[v]; k < a->off[v + 1]; k++)
+        if (HAS(c->fwd, a->tgt[k]))
+            c->buf[top++] = a->tgt[k];
+    qsort(c->buf + f->next, top - f->next, sizeof(int32_t), ascending);
+    return f->end = top;
+}
+
+static void
+decompose(const Arena *a, Comp *c, Py_ssize_t W, int32_t r)
+{
+    /* _scc_masks on F, from r, up to the first component it emits, which
+     * it leaves in fwd.  Nothing is emitted before that one, so what the
+     * search has found since entering v is every position discovered
+     * from v on, a suffix of the discovery order, and a move leaves it
+     * exactly when it reaches a position discovered before v.  So each
+     * path position keeps the least discovery index its subtree's moves
+     * reach, low, and v closes the component when low is v's own index */
+    int32_t d = 0, found = 1, i;
+    memset(c->back, 0, W * sizeof(word)); /* the positions discovered */
+    visit(a, c, 0, 0, r, 0);
+    for (;;) {
+        Visit *f = &c->path[d];
+        if (f->next < f->end) {
+            int32_t t = c->buf[f->next++];
+            if (!HAS(c->back, t)) {
+                visit(a, c, d + 1, f->end, t, found++);
+                d++;
+            }
+            else if (c->idx[t] < f->low)
+                f->low = c->idx[t];
+            continue;
+        }
+        if (f->low == c->idx[f->v])
+            break;
+        d--; /* the root's low is its own index, so d stays >= 0 */
+        if (f->low < c->path[d].low)
+            c->path[d].low = f->low;
+    }
+    memset(c->fwd, 0, W * sizeof(word));
+    for (i = c->idx[c->path[d].v]; i < found; i++)
+        ADD(c->fwd, c->queue[i]);
+}
+
+static void
+first_component(const Arena *a, Comp *c, const word *alive, Py_ssize_t W)
+{
+    /* _first_scc_py: leaves in fwd the first component of alive that
+     * _scc_masks emits, F itself when every position of F reaches r
+     * inside F, else what decompose finds; nothing when alive is empty */
+    int32_t r;
+    Py_ssize_t nf;
+    memset(c->fwd, 0, 2 * W * sizeof(word));
+    r = lowest(alive, c->fwd, NULL, W); /* fwd is still empty */
+    if (r < 0)
+        return;
+    nf = sweep(a->off, a->tgt, alive, r, c->fwd, c->queue);
+    if (sweep(a->poff, a->ptgt, c->fwd, r, c->back, c->queue) != nf)
+        decompose(a, c, W, r);
+}
+
 static PyObject *
 first_scc(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *packed, *alive, *f, *out = NULL;
+    PyObject *packed, *alive, *out;
     Arena a;
+    Comp c;
     Py_ssize_t W;
-    word *buf, *fwd, *back;
-    int32_t r, *queue;
-    int strong = 1;
+    word *buf;
     if (!PyArg_ParseTuple(args, "SO", &packed, &alive) || unpack(packed, &a) < 0)
         return NULL;
-    W = (a.n + 63) / 64;
-    /* alive, the forward and the backward closure, then the queue */
-    buf = load(alive, a.n, 2 * W * sizeof(word) + (size_t)a.n * sizeof(int32_t));
+    /* alive, then the scratch */
+    buf = load(alive, a.n, comp_bytes(&a));
     if (!buf)
         return NULL;
-    fwd = buf + W;
-    back = fwd + W;
-    queue = (int32_t *)(back + W);
-    memset(fwd, 0, 2 * W * sizeof(word));
-    r = lowest(buf, fwd, NULL, W); /* fwd is still empty */
-    if (r >= 0) {
-        Py_ssize_t nf = sweep(a.off, a.tgt, buf, r, fwd, queue);
-        strong = sweep(a.poff, a.ptgt, fwd, r, back, queue) == nf;
-    }
-    f = from_words(fwd, W);
-    if (f) {
-        out = PyTuple_Pack(2, f, strong ? Py_True : Py_False);
-        Py_DECREF(f);
-    }
+    W = (a.n + 63) / 64;
+    comp_layout(&c, &a, buf + W);
+    first_component(&a, &c, buf, W);
+    out = from_words(c.fwd, W);
     free(buf);
     return out;
 }
@@ -970,12 +1107,12 @@ typedef struct {
 } Step;
 
 static int
-step_block(Step *s, PyObject *alive, int32_t n, int extra)
+step_block(Step *s, PyObject *alive, int32_t n, int extra, size_t bytes)
 {
-    /* allocate s's block, with extra W-word masks after counted, read
-     * alive into it and clear the other masks */
+    /* allocate s's block, with extra W-word masks after counted and bytes
+     * more after queue, read alive into it and clear the other masks */
     Py_ssize_t W = (n + 63) / 64;
-    s->alive = load(alive, n, (4 + extra) * W * sizeof(word) + 2 * (size_t)n * sizeof(int32_t));
+    s->alive = load(alive, n, (4 + extra) * W * sizeof(word) + 2 * (size_t)n * sizeof(int32_t) + bytes);
     if (!s->alive)
         return -1;
     s->hold = s->alive + W;
@@ -1024,6 +1161,24 @@ attract(const Arena *a, Step *s, Py_ssize_t tail, int p)
         }
     }
     return tail > front;
+}
+
+static void
+attract_seed(const Arena *a, Step *s, Py_ssize_t W, int p)
+{
+    /* core._attractor_mask for p of the seed in att within alive, its
+     * first layer grown from the whole seed; done and counted are
+     * cleared first */
+    Py_ssize_t tail = 0, i;
+    memset(s->done, 0, 2 * W * sizeof(word));
+    for (i = 0; i < W; i++) {
+        word m = s->att[i];
+        while (m) {
+            s->queue[tail++] = (int32_t)(i * 64 + __builtin_ctzll(m));
+            m &= m - 1;
+        }
+    }
+    attract(a, s, tail, p);
 }
 
 static int32_t
@@ -1133,7 +1288,7 @@ left(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "the level cursor must not be negative");
         return NULL;
     }
-    if (step_block(&s, alive, a.n, 0) < 0)
+    if (step_block(&s, alive, a.n, 0, 0) < 0)
         return NULL;
     W = (a.n + 63) / 64;
     i = left_half(&a, &s, W, lo, &p, &grew);
@@ -1168,7 +1323,7 @@ right(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "player out of range");
         return NULL;
     }
-    if (step_block(&s, alive, a.n, 0) < 0)
+    if (step_block(&s, alive, a.n, 0, 0) < 0)
         return NULL;
     W = (a.n + 63) / 64;
     if (read_mask(holders, s.hold, a.n) < 0 || read_mask(w_opp, s.att, a.n) < 0)
@@ -1180,41 +1335,68 @@ finish:
 }
 
 /* ------------------------------------------------------------------------
- * the whole recursion of solver.solve without the SCC and dominion layers
+ * the whole recursion of solver.solve
  *
  * ``solve`` runs the loop of solver.solve on an explicit stack of calls,
- * each call's plain step by left_half and right_half on the solve's one
- * Step, and counts as that loop does.  The table of entered alive sets is
- * exact: the shared table above, keyed on each alive set over its span,
- * and with the memo keeping a finished call's w0 as the value, over w0's
- * span.  A call names its alive set by its entry's index.  A running call
- * keeps its attractor and holders, and then the opponent's attractor, on
- * a LIFO stack of words over that attractor's span.  The table, the calls
- * and the word stack grow with what they hold; nothing is sized by n but
- * the Step and two masks.  Python's signal handlers run every 4096 calls,
- * so a long solve stays interruptible: when one raises, everything is
- * freed and the exception surfaces. */
+ * each call as its ``call`` runs it and counted as that loop counts:
+ * first, with the dominion layer, the scan over a record that lives for
+ * the solve, and when it finds a dominion, its attractor and one child;
+ * then, with the SCC layer, unless the call is a component and so
+ * strong, the component loop: the first component of what is left,
+ * solved as a strong child, then the attractors of both of its regions
+ * inside what is left taken out of it; last, the plain step by left_half
+ * and right_half.  All attractors run on the solve's one Step.  The table
+ * of entered alive sets is exact: the shared table above, keyed on each
+ * alive set over its span, and with the memo keeping a finished call's w0
+ * as the value, over w0's span.  A call names its alive set by its
+ * entry's index.  A running call keeps its masks on a LIFO stack of
+ * words: a plain step's attractor and holders, then the opponent's
+ * attractor, over that attractor's span; a dominion's attractor over its
+ * span; a component loop's rest, w0 and component over its alive set's
+ * span.  The table, the record, the calls and the word stack grow with
+ * what they hold; the Step, the searches' block and the first
+ * component's scratch are sized by n.  Python's signal handlers run every
+ * 4096 calls, so a long solve stays interruptible: when one raises,
+ * everything is freed and the exception surfaces. */
+
+enum { LEFT, RIGHT, DOMINION, SPLIT }; /* a call's running child */
 
 typedef struct {
     Py_ssize_t entry, at; /* its alive set's entry; where its masks start on the word stack */
-    int32_t i, mlo, mspan; /* the level its left step removed; its masks' span */
-    int8_t p, right;      /* right: its right child is running */
+    int32_t i, mlo, mspan; /* the level its left step removed, or a split's cursor; its masks' span */
+    int8_t p, kind;
 } Call;
 
 typedef struct {
     Arena a;
     Py_ssize_t W;
     Step s;
+    Search S; /* the dominion layer's searches */
+    Comp c;   /* the SCC layer's first component */
     word *child, *res; /* the alive set being entered; the w0 just found */
     int32_t lo;        /* the child's level cursor */
-    Table t;
+    int scc, dom, strong; /* the layers; whether the child is a component */
+    Table t, rec;         /* the entered alive sets; the dominion record */
     Call *calls;
     Py_ssize_t ncalls, calls_cap;
     word *words;
     Py_ssize_t top, words_cap;
+    long long probes, replays;
 } Solve;
 
 #define CHECK_SIGNALS 4095 /* calls & CHECK_SIGNALS == 0: run the signal handlers */
+
+static const int32_t both_players[2] = {0, 1};
+
+static long long
+ceil_sqrt(long long c)
+{
+    /* default_dominion_bound: the least b >= 1 with b * b >= c */
+    long long b = 1;
+    while (b * b < c)
+        b++;
+    return b;
+}
 
 static int
 store(Solve *T, Py_ssize_t entry)
@@ -1241,46 +1423,184 @@ push_words(Solve *T, Py_ssize_t k)
     return w + T->top - k;
 }
 
+static Call *
+push_call(Solve *T, Py_ssize_t entry, int kind, int32_t lo, int32_t span, int32_t masks, word **saved)
+{
+    /* a call on the entry's alive set, with room for that many masks over
+     * span words from word lo on the word stack; NULL with MemoryError */
+    Call *c = grown(T->calls, &T->calls_cap, T->ncalls + 1, sizeof(Call));
+    if (!c)
+        return NULL;
+    T->calls = c;
+    c += T->ncalls;
+    c->at = T->top;
+    if (!(*saved = push_words(T, masks * (Py_ssize_t)span)))
+        return NULL;
+    c->entry = entry;
+    c->kind = (int8_t)kind;
+    c->mlo = lo;
+    c->mspan = span;
+    T->ncalls++;
+    return c;
+}
+
+static void
+enter_rest(Solve *T, const word *alive, const word *taken, int32_t lo)
+{
+    /* the next child: alive & ~taken, at cursor lo, not known strong */
+    Py_ssize_t j;
+    for (j = 0; j < T->W; j++)
+        T->child[j] = alive[j] & ~taken[j];
+    T->lo = lo;
+    T->strong = 0;
+}
+
+static int
+dominion_step(Solve *T, Py_ssize_t entry)
+{
+    /* the dominion step of a call on alive, in the Step: 1 when the scan
+     * finds a dominion, whose attractor goes on the word stack and whose
+     * rest is the next child, 0 when it finds none, -1 with MemoryError */
+    Step *s = &T->s;
+    Search *S = &T->S;
+    Py_ssize_t W = T->W, k;
+    const Entry *e;
+    Call *c;
+    word *saved;
+    int32_t lo, span;
+    int p;
+    memcpy(S->alive, s->alive, W * sizeof(word));
+    opponents(S);
+    S->budget = ceil_sqrt(count(s->alive, W));
+    k = scan_seeds(S, &T->rec, both_players, 2, &p, &T->probes, &T->replays);
+    if (k < 0)
+        return k == -1 ? 0 : -1;
+    e = &T->rec.entries[k];
+    unspan(s->att, W, e->val + 2 * e->vspan, e->vlo, e->vspan);
+    attract_seed(&T->a, s, W, p);
+    span = span_of(s->att, W, &lo);
+    if (!(c = push_call(T, entry, DOMINION, lo, span, 1, &saved)))
+        return -1;
+    memcpy(saved, s->att + lo, span * sizeof(word));
+    c->p = (int8_t)p;
+    enter_rest(T, s->alive, s->att, T->lo);
+    return 1;
+}
+
+static int
+split_step(Solve *T, Py_ssize_t entry)
+{
+    /* the SCC step of a call on alive, in the Step: 1 when alive is not
+     * one component, and then the component loop's rest (alive), w0
+     * (nothing) and first component go on the word stack and that
+     * component is the next child, strong, at the call's cursor; 0 when
+     * alive is one component, -1 with MemoryError */
+    Step *s = &T->s;
+    Py_ssize_t W = T->W;
+    const Entry *e = &T->t.entries[entry];
+    Call *c;
+    word *saved;
+    first_component(&T->a, &T->c, s->alive, W);
+    if (!memcmp(T->c.fwd, s->alive, W * sizeof(word)))
+        return 0;
+    if (!(c = push_call(T, entry, SPLIT, e->klo, e->kspan, 3, &saved)))
+        return -1;
+    memcpy(saved, s->alive + e->klo, e->kspan * sizeof(word));
+    memset(saved + e->kspan, 0, e->kspan * sizeof(word));
+    memcpy(saved + 2 * e->kspan, T->c.fwd + e->klo, e->kspan * sizeof(word));
+    c->i = T->lo;
+    memcpy(T->child, T->c.fwd, W * sizeof(word));
+    T->strong = 1;
+    return 1;
+}
+
 static int
 open_call(Solve *T, Py_ssize_t entry)
 {
-    /* push a call on child, the entry's non-empty alive set, and run its
-     * left step: the attractor and the holders go on the word stack over
-     * the attractor's span, and what the attractor leaves is the next
-     * child, from the level below the one removed.  -1 with MemoryError */
+    /* push a call on child, the entry's non-empty alive set, and run it
+     * up to its first child, which it leaves in child with its cursor
+     * and strength: the dominion step, the SCC step, and when neither
+     * gives a child, the left step, whose attractor and holders go on the
+     * word stack over the attractor's span and whose rest is the child,
+     * from the level below the one removed.  -1 with MemoryError */
     Step *s = &T->s;
-    Py_ssize_t W = T->W, j;
-    Call *c = grown(T->calls, &T->calls_cap, T->ncalls + 1, sizeof(Call));
+    Py_ssize_t W = T->W;
+    Call *c;
     word *saved;
-    int p, grew;
-    if (!c)
-        return -1;
-    T->calls = c;
-    c += T->ncalls;
+    int32_t i, lo, span;
+    int p, grew, r;
     memcpy(s->alive, T->child, W * sizeof(word));
     memset(s->hold, 0, 4 * W * sizeof(word));
-    c->i = left_half(&T->a, s, W, T->lo, &p, &grew);
-    c->mspan = span_of(s->att, W, &c->mlo);
-    c->at = T->top;
-    if (!(saved = push_words(T, 2 * (Py_ssize_t)c->mspan)))
+    if (T->dom && (r = dominion_step(T, entry)))
+        return r < 0 ? -1 : 0;
+    if (T->scc && !T->strong && (r = split_step(T, entry)))
+        return r < 0 ? -1 : 0;
+    i = left_half(&T->a, s, W, T->lo, &p, &grew);
+    span = span_of(s->att, W, &lo);
+    if (!(c = push_call(T, entry, LEFT, lo, span, 2, &saved)))
         return -1;
-    memcpy(saved, s->att + c->mlo, c->mspan * sizeof(word));
-    memcpy(saved + c->mspan, s->hold + c->mlo, c->mspan * sizeof(word));
-    c->entry = entry;
+    memcpy(saved, s->att + lo, span * sizeof(word));
+    memcpy(saved + span, s->hold + lo, span * sizeof(word));
+    c->i = i;
     c->p = (int8_t)p;
-    c->right = 0;
-    T->ncalls++;
-    for (j = 0; j < W; j++)
-        T->child[j] = s->alive[j] & ~s->att[j];
-    T->lo = c->i + 1;
+    enter_rest(T, s->alive, s->att, i + 1);
     return 0;
+}
+
+static int
+split_next(Solve *T, Call *c)
+{
+    /* hand res, the w0 of the component loop's running component, to the
+     * loop: the attractor of the component's player-0 region, then of
+     * its player-1 region, inside the rest, each taken out of the rest,
+     * the first one added to w0.  Returns 1 with the next component set
+     * up in child, 0 when nothing is left, with the loop's w0 in res */
+    Step *s = &T->s;
+    Py_ssize_t W = T->W, span = c->mspan, j;
+    int32_t lo = c->mlo;
+    word *rem = T->words + c->at, *w0 = rem + span, *comp = w0 + span, c0 = 0, c1 = 0, left = 0;
+    for (j = 0; j < span; j++) {
+        c0 |= T->res[lo + j];
+        comp[j] &= ~T->res[lo + j]; /* the component's player-1 region */
+        c1 |= comp[j];
+    }
+    if (c0) {
+        unspan(s->alive, W, rem, lo, (int32_t)span);
+        memcpy(s->att, T->res, W * sizeof(word));
+        attract_seed(&T->a, s, W, 0);
+        for (j = 0; j < span; j++) {
+            w0[j] |= s->att[lo + j];
+            rem[j] &= ~s->att[lo + j];
+        }
+    }
+    if (c1) {
+        unspan(s->alive, W, rem, lo, (int32_t)span);
+        unspan(s->att, W, comp, lo, (int32_t)span);
+        attract_seed(&T->a, s, W, 1);
+        for (j = 0; j < span; j++)
+            rem[j] &= ~s->att[lo + j];
+    }
+    for (j = 0; j < span; j++)
+        left |= rem[j];
+    if (!left) {
+        unspan(T->res, W, w0, lo, (int32_t)span);
+        T->top = c->at;
+        return 0;
+    }
+    unspan(T->child, W, rem, lo, (int32_t)span);
+    first_component(&T->a, &T->c, T->child, W);
+    memcpy(comp, T->c.fwd + lo, span * sizeof(word));
+    memcpy(T->child, T->c.fwd, W * sizeof(word));
+    T->lo = c->i;
+    T->strong = 1;
+    return 1;
 }
 
 static int
 resume(Solve *T)
 {
     /* hand res, the w0 of the top call's running child, to that call.
-     * Returns 1 when the call has set up its right child in child, 0 when
+     * Returns 1 when the call has set up its next child in child, 0 when
      * it has finished with its own w0 in res and its words popped, -1
      * with MemoryError */
     Step *s = &T->s;
@@ -1289,10 +1609,13 @@ resume(Solve *T)
     const word *a = T->words + c->at, *hold = a + c->mspan;
     word *res = T->res, *w_opp = s->att, *saved, any = 0;
     Py_ssize_t W = T->W, j;
+    if (c->kind == SPLIT)
+        return split_next(T, c);
     T->top = c->at;
-    if (c->right) {
-        /* r0, or r0 | b for player 1 */
-        if (c->p)
+    if (c->kind != LEFT) {
+        /* r0 | a for a dominion of player 0, r0 | b after a right step of
+         * player 1, else r0 */
+        if (c->kind == DOMINION ? !c->p : c->p)
             for (j = 0; j < c->mspan; j++)
                 res[c->mlo + j] |= a[j];
         return 0;
@@ -1321,10 +1644,8 @@ resume(Solve *T)
     if (!(saved = push_words(T, c->mspan)))
         return -1;
     memcpy(saved, s->att + c->mlo, c->mspan * sizeof(word));
-    for (j = 0; j < W; j++)
-        T->child[j] = s->alive[j] & ~s->att[j];
-    T->lo = c->i;
-    c->right = 1;
+    enter_rest(T, s->alive, s->att, c->i);
+    c->kind = RIGHT;
     return 1;
 }
 
@@ -1335,8 +1656,8 @@ solve(PyObject *Py_UNUSED(module), PyObject *args)
     Solve T;
     Py_ssize_t W, k;
     long long limit = LLONG_MAX, calls = 0, hits = 0, depth = 0;
-    int memo, overflow, r;
-    if (!PyArg_ParseTuple(args, "SOpO", &packed, &alive, &memo, &cap))
+    int memo, scc, dom, overflow, r;
+    if (!PyArg_ParseTuple(args, "SOpppO", &packed, &alive, &memo, &scc, &dom, &cap))
         return NULL;
     if (cap != Py_None) {
         limit = PyLong_AsLongLongAndOverflow(cap, &overflow);
@@ -1350,11 +1671,18 @@ solve(PyObject *Py_UNUSED(module), PyObject *args)
         }
     }
     memset(&T, 0, sizeof T);
-    if (unpack(packed, &T.a) < 0 || step_block(&T.s, alive, T.a.n, 2) < 0)
+    if (unpack(packed, &T.a) < 0 || step_block(&T.s, alive, T.a.n, 2, scc ? comp_bytes(&T.a) : 0) < 0)
         return NULL;
     T.W = W = (T.a.n + 63) / 64;
     T.child = T.s.counted + W;
     T.res = T.child + W;
+    T.scc = scc;
+    T.dom = dom;
+    if (scc)
+        comp_layout(&T.c, &T.a, (word *)(T.s.queue + T.a.n));
+    /* every call's dominion bound is at most the whole arena's */
+    if (dom && prepare(&T.S, packed, alive, ceil_sqrt(T.a.n), 0) < 0)
+        goto finish;
     memcpy(T.child, T.s.alive, W * sizeof(word));
     for (;;) {
         /* enter a call on child, one level below the top call */
@@ -1396,12 +1724,15 @@ solve(PyObject *Py_UNUSED(module), PyObject *args)
     }
     w0 = calls > limit ? Py_NewRef(Py_None) : from_words(T.res, W);
     if (w0) {
-        out = Py_BuildValue("(OLnLLO)", w0, calls, T.t.n, hits, depth, calls > limit ? Py_True : Py_False);
+        out = Py_BuildValue("(OLnLLLLO)", w0, calls, T.t.n, hits, depth, T.probes, T.replays,
+                            calls > limit ? Py_True : Py_False);
         Py_DECREF(w0);
     }
 finish:
     free(T.s.alive);
+    free(T.S.alive);
     drop_table(&T.t);
+    drop_table(&T.rec);
     free(T.calls);
     free(T.words);
     return out;
@@ -1413,7 +1744,7 @@ static PyMethodDef methods[] = {
     {"right", right, METH_VARARGS,
      "right(arena, alive, holders, w_opp, p) -> b, as solver._right_mask"},
     {"first_scc", first_scc, METH_VARARGS,
-     "first_scc(arena, alive) -> (f, strong), as solver._first_scc_py"},
+     "first_scc(arena, alive) -> the first component of alive, as solver._first_scc_py"},
     {"search", search, METH_VARARGS,
      "search(arena, alive, seed, p, budget) -> (result, touched, probes), as solver._search_py"},
     {"record", record, METH_NOARGS,
@@ -1422,15 +1753,15 @@ static PyMethodDef methods[] = {
      "scan(arena, record, alive, budget, players) -> (result, p, probes, replays), "
      "as solver._find_dominion_mask_py"},
     {"solve", solve, METH_VARARGS,
-     "solve(arena, alive, memo, limit) -> (w0, total_calls, distinct, memo_hits, max_depth, stopped), "
-     "the recursion of solver.solve without the SCC and dominion layers"},
+     "solve(arena, alive, memo, scc, dom, limit) -> "
+     "(w0, total_calls, distinct, memo_hits, max_depth, probes, replays, stopped), the recursion of solver.solve"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "The solver's plain step and its whole recursion with or without the memo, the SCC layer's closure "
-    "check, and the dominion layer's bounded search with its scan and replay loop, compiled.", -1, methods,
+    "The solver's plain step, the SCC layer's first component, the dominion layer's bounded search with "
+    "its scan and replay loop, and the whole recursion with every layer, compiled.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

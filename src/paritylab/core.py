@@ -74,9 +74,10 @@ class ParityGame:
     Successor lists keep their given order (deduplicated); that order is
     part of the deterministic behaviour of everything built on top.
 
-    ``packed`` is None until the compiled kernel (an SCC check or a
-    dominion search) first runs on the game; it then holds the arena
-    packed for it (``solver._pack``), which lives as long as the game.
+    ``packed`` is None until the game is first solved (or searched for a
+    dominion) with the compiled kernel loaded; it then holds the arena
+    packed for the kernel (``solver._pack``), which lives as long as the
+    game.
     """
 
     __slots__ = (

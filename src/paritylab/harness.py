@@ -114,6 +114,11 @@ def parse_pgsolver(text: str) -> ParityGame:
         owner = _int_field(line_no, parts[2], "owner")
         if owner not in (0, 1):
             raise ParseError(line_no, f"owner must be 0 or 1, got {owner}")
+        # a comma separates successor ids, whitespace only beside one
+        if len(parts) > 4:
+            for before, after in zip(parts[3:], parts[4:]):
+                if not (before.endswith(",") or after.startswith(",")):
+                    raise ParseError(line_no, f"successor ids {before!r} and {after!r} need a ',' between them")
         succ_text = "".join(parts[3:])
         if not succ_text:
             raise NotLeftTotal(line_no, f"position {pid} has no successors")

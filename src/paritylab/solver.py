@@ -11,9 +11,9 @@ with its attractor, ``_left_mask``, and the opponent's attractor,
   within one top-level call;
 * SCC decomposition splits the current subgame into strongly connected
   components at every entry and solves terminal components first; the
-  first component comes from two reachability sweeps,
-  ``_first_scc_py``, with a lowlink-free depth-first search,
-  ``_scc_masks``, only when they do not close it;
+  first component, ``_first_scc_py``, comes from two reachability
+  sweeps, with a lowlink-free depth-first search, ``_scc_masks``, only
+  when they do not close it;
 * dominion decomposition brute-force searches each entered subgame of
   ``n`` positions for a dominion of at most ⌈√n⌉ positions before doing
   anything else.  The search keeps its branch points on an explicit
@@ -32,13 +32,13 @@ with its attractor, ``_left_mask``, and the opponent's attractor,
 
 Where the system gcc can build it, a compiled kernel (``_kernel.c``)
 runs ``_left_mask``, ``_right_mask``, ``_first_scc_py``, ``_search_py``
-and ``_find_dominion_mask_py``, and, with neither the SCC nor the
-dominion layer, the whole recursion, memo included, in one call per
-solve.  Each of those Python functions, and ``solve``'s own loop, is its
-compiled twin's reference and fallback, and each function keeps its
-twin's contract: the same arguments, with the game in place of the
-packed arena, and the same return values.  ``solve`` chooses the
-backend once per solve.
+and ``_find_dominion_mask_py``, and the whole recursion, every layer
+included, in one call per solve for every mix but ``scc`` and
+``memo+scc``, which run ``solve``'s own loop on the compiled steps.
+Each of those Python functions, and that loop, is its compiled twin's
+reference and fallback, and each function keeps its twin's contract:
+the same arguments, with the game in place of the packed arena, and the
+same return values.  ``solve`` chooses the backend once per solve.
 
 None of the layers ever changes the returned regions, only the shape and
 amount of work, which the returned ``SolveStats`` makes observable.
@@ -200,15 +200,15 @@ def _scc_masks(game: ParityGame, alive: int) -> list[int]:
     return comps
 
 
-def _first_scc_py(game: ParityGame, alive: int) -> tuple[int, bool]:
-    # the kernel's ``first_scc``: the forward closure F of the lowest alive
-    # position r, and whether every position of F reaches r inside F.  The
-    # decomposition's first tree starts at r and covers exactly F, so its
-    # first component lies in F and is ``_scc_masks(game, F)[0]`` (F is
-    # closed under alive moves); when F is strong, it is F itself
+def _first_scc_py(game: ParityGame, alive: int) -> int:
+    # the kernel's ``first_scc``: the first component ``_scc_masks(game,
+    # alive)`` emits.  Its first tree starts at the lowest alive position
+    # r and covers exactly r's forward closure F, so the component lies in
+    # F and is ``_scc_masks(game, F)[0]`` (F is closed under alive moves);
+    # when every position of F reaches r inside F, it is F itself
     r = alive & -alive
     f = _closure(game.succ_masks, alive, r)
-    return f, _closure(game.pred_masks, f, r) == f
+    return f if _closure(game.pred_masks, f, r) == f else _scc_masks(game, f)[0]
 
 
 def scc_split(g: Subgame) -> list[PositionSet]:
@@ -359,26 +359,23 @@ def _search_py(game: ParityGame, alive: int, seed: int, p: int, budget: int) -> 
 # ---------------------------------------------------------------------------
 # the compiled kernel
 #
-# ``_kernel.c`` runs ``_left_mask``, ``_right_mask``, ``_first_scc_py``,
-# ``_search_py``, ``_find_dominion_mask_py`` on a record it owns for one
-# solve, and, for a configuration with neither the SCC nor the dominion
-# layer, the whole of ``solve``'s loop with its seen table and memo, all
-# on W-word bitsets.  Each compiled function takes its twin's arguments,
-# the packed arena in place of the game, and returns its twin's values,
-# so a caller picks a backend by picking the function: ``solve`` picks
-# once, for every step of one solve, ``_search_dominion`` by whether the
-# kernel loads, and ``_find_dominion_mask`` by the record it is handed.
+# ``_kernel.c`` runs ``_left_mask``, ``_right_mask``, ``_first_scc_py``
+# (its ``_scc_masks`` fallback too), ``_search_py``,
+# ``_find_dominion_mask_py`` on a record it owns, and the whole of
+# ``solve``'s loop with its seen table, memo and dominion record, every
+# layer's step included, all on W-word bitsets.  Each compiled function
+# takes its twin's arguments, the packed arena in place of the game, and
+# returns its twin's values, so a caller picks a backend by picking the
+# function: ``solve`` picks once, for every step of one solve,
+# ``_search_dominion`` by whether the kernel loads, and
+# ``_find_dominion_mask`` by the record it is handed.
 # The kernel is built with the system gcc on the first solve of a
 # process, never at import, and cached under $XDG_CACHE_HOME/paritylab
 # (~/.cache/paritylab) as ``_kernel-<sha256 of the source><extension
 # suffix>``.  ``_kernel`` is False until that first use, then the loaded
 # module, or None when the build or the load failed: one attempt per
 # process, and the Python functions run from then on.  Tests set it to
-# None to force the Python path.  With either layer on, the recursion,
-# the memo, the ``_scc_masks`` fallback and the attractors of the SCC
-# and dominion branches stay Python around the kernel's calls: those
-# branches' seeds are mostly small, and a kernel call costs more than a
-# Python attractor of one position.
+# None to force the Python path.
 
 _kernel: object = False
 
@@ -662,30 +659,35 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     meets the child: the left child starts below the level just removed,
     the right child at it, and the others at their parent's.  A child
     known to be strongly connected, a component from the SCC split,
-    skips its own SCC check, which would give it back unchanged.  With
-    neither the SCC nor the dominion layer, the compiled kernel runs this
-    loop in one call when it loads, with the same counters.
+    skips its own SCC check, which would give it back unchanged.  When
+    the kernel loads, it runs this loop in one call, with the same
+    counters, for every configuration but ``scc`` and ``memo+scc``.
     """
     game = g.game
     kernel = _kernel if _kernel is not False else _load_kernel()
     arena = game if kernel is None else game.packed or _pack(game)
-    if kernel is not None and not (cfg.scc_decomposition or cfg.dominion_decomposition):
-        # the whole recursion, the loop below with its seen table and memo, in one kernel call
+    # ``scc`` and ``memo+scc`` keep the loop below with the kernel's steps:
+    # perfbench's test_tracing_restores_every_binding counts the Python
+    # attractor calls of a memo+scc solve
+    if kernel is not None and (cfg.dominion_decomposition or not cfg.scc_decomposition):
+        # the whole recursion, the loop below with its seen table, memo and record, in one kernel call
         t0 = perf_counter()
-        result, *counts, stopped = kernel.solve(arena, g.alive.mask, cfg.memoization, cfg.call_limit)
+        result, *counts, stopped = kernel.solve(
+            arena, g.alive.mask, cfg.memoization, cfg.scc_decomposition, cfg.dominion_decomposition, cfg.call_limit
+        )
         stats = SolveStats(*counts, wall_time=perf_counter() - t0)
         if stopped:
             raise CallLimitExceeded(cfg.call_limit, stats)
         return Regions(PositionSet(game, result), PositionSet(game, g.alive.mask & ~result)), stats
     # the backend, once per solve: both halves of the plain step and the
-    # SCC layer's closure check from the kernel on the packed arena, or
-    # their Python twins on the game, and the dominion searches already
-    # run, for replaying (see _find_dominion_mask), in the kernel's record
-    # or a dict
+    # SCC layer's first component from the kernel on the packed arena, or
+    # their Python twins on the game; the dominion layer runs here only
+    # without the kernel, on a dict record (see _find_dominion_mask)
     if kernel is None:
-        left, right, first_scc, record = _left_mask, _right_mask, _first_scc_py, {}
+        left, right, first_scc = _left_mask, _right_mask, _first_scc_py
     else:
-        left, right, first_scc, record = kernel.left, kernel.right, kernel.first_scc, kernel.record()
+        left, right, first_scc = kernel.left, kernel.right, kernel.first_scc
+    record: dict = {}
     stats = SolveStats()
     memo = cfg.memoization
     # every entered alive mask; with memoization, mapped to its w0 once
@@ -695,10 +697,6 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
     limit = cfg.call_limit
     dom_on = cfg.dominion_decomposition
     scc_on = cfg.scc_decomposition
-
-    def first_component(alive: int) -> int:
-        f, strong = first_scc(arena, alive)
-        return f if strong else _scc_masks(game, f)[0]
 
     def call(alive: int, lo: int, strong: bool) -> Generator[tuple[int, int, bool], int, int]:
         # one call on a non-empty alive set that no priority level before
@@ -713,7 +711,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                 r0 = yield alive & ~a, lo, False
                 return r0 | a if p == 0 else r0
         if scc_on and not strong:
-            comp = first_component(alive)
+            comp = first_scc(arena, alive)
             if comp != alive:
                 # solve a terminal component, attract both of its regions
                 # within what is left, and repeat on the rest
@@ -729,7 +727,7 @@ def solve(g: Subgame, cfg: SolverConfig = SolverConfig()) -> tuple[Regions, Solv
                         rem &= ~_attractor_mask(game, rem, c1, 1)
                     if not rem:
                         return w0
-                    comp = first_component(rem)
+                    comp = first_scc(arena, rem)
         p, i, holders, a = left(arena, alive, lo)
         rest = alive & ~a
         l0 = yield rest, i + 1, False

@@ -93,6 +93,9 @@ def test_parse_revives_role_labels_and_keeps_strings():
         pytest.param("0 2 0 0;\x0c", 1, id="form-feed-needs-terminator"),
         pytest.param("parity 0;\nparity 0;", 2, id="header-only-first"),
         pytest.param("0 2 0 1;\n\n1 1\n1 7;", 3, id="undeclared-successor-of-split-statement"),
+        # successor ids that only whitespace separates are not glued into one
+        pytest.param("parity 12;\n0 0 0 1 2;\n1 1 1 0;\n12 2 0 0;\n", 2, id="successor-ids-without-comma"),
+        pytest.param("0 0 0 1;\n1 1 1 0,\n1\n2;\n2 2 0 0;", 2, id="successor-ids-across-lines"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import sysconfig
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from paritylab import (
     solve,
     solver,
 )
-from paritylab.harness import VARIANTS
+from paritylab.harness import VARIANTS, _config
 
 from conftest import mk, names
 
@@ -132,22 +133,23 @@ def _kernels():
 
 def test_component_children_skip_their_scc_check(monkeypatch):
     # m disjoint 2-cycles: each component the split yields is strongly
-    # connected already, so only the split itself runs the check, counted
-    # through the twin on the Python path and through the kernel's
-    # ``first_scc`` on the compiled one
+    # connected already, so only the split itself asks for first
+    # components, one per 2-cycle, lowest first, through the twin on the
+    # Python path and through the kernel's ``first_scc`` on the compiled
+    # one
     m = 5
     g = mk([v % 2 for v in range(2 * m)], list(range(2 * m)), [[v ^ 1] for v in range(2 * m)])
-    check = solver._first_scc_py
+    twin = solver._first_scc_py
     for kernel in _kernels():
-        calls = []
+        seen = []
         if kernel is None:
             monkeypatch.setattr(solver, "_kernel", None)
-            monkeypatch.setattr(solver, "_first_scc_py", lambda *args: calls.append("first_scc") or check(*args))
+            monkeypatch.setattr(solver, "_first_scc_py", lambda g, a: seen.append((a, twin(g, a))) or seen[-1][1])
         else:
-            monkeypatch.setattr(solver, "_first_scc_py", check)
-            monkeypatch.setattr(solver, "_kernel", _Counted(kernel, calls))
+            monkeypatch.setattr(solver, "_first_scc_py", twin)
+            monkeypatch.setattr(solver, "_kernel", _FirstScc(kernel, seen))
         regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
-        assert calls.count("first_scc") == m, kernel
+        assert [comp for _, comp in seen] == [0b11 << 2 * j for j in range(m)], kernel
         assert (stats.total_calls, stats.distinct_subgames) == (11, 7)
         assert regions.of(1).mask == g.full_mask
 
@@ -421,33 +423,24 @@ def _scc_cases(draw):
 
 
 def _first_scc_backend(backend):
-    # one backend's closure check, (game, alive) -> (f, strong)
+    # one backend's first component, (game, alive) -> the component
     if backend == "python":
         return solver._first_scc_py
     kernel = _compiled()
     return lambda g, alive: kernel.first_scc(g.packed or solver._pack(g), alive)
 
 
-def _first_component(first_scc, g, alive):
-    # the first component, from the closure check as the SCC layer takes it
-    f, strong = first_scc(g, alive)
-    return f if strong else solver._scc_masks(g, f)[0]
-
-
 @pytest.mark.parametrize("backend", ["python", "kernel"])
 @settings(max_examples=400, deadline=None)
 @given(_scc_cases())
 def test_first_scc_matches_tarjan(backend, case):
-    # the forward closure of the lowest alive position, and whether it is
-    # the first component already
+    # the first component Tarjan's algorithm emits, whether or not the
+    # forward closure of the lowest alive position is strongly connected
     first_scc = _first_scc_backend(backend)
     g, alive = case
     comps = _tarjan(g, alive)
     assert solver._scc_masks(g, alive) == comps
-    f, strong = first_scc(g, alive)
-    assert f == core._closure(g.succ_masks, alive, alive & -alive)
-    assert strong == (f == comps[0])
-    assert _first_component(first_scc, g, alive) == comps[0]
+    assert first_scc(g, alive) == comps[0]
 
 
 @pytest.mark.parametrize("backend", ["python", "kernel"])
@@ -462,7 +455,7 @@ def test_first_scc_at_word_edges(backend, n):
     g = mk([rng.randrange(2) for _ in range(n)], list(range(n)), successors)
     for alive in (g.full_mask, rng.randint(1, g.full_mask), g.full_mask & ~1):
         while alive:
-            comp = _first_component(first_scc, g, alive)
+            comp = first_scc(g, alive)
             assert comp == _tarjan(g, alive)[0], (n, alive)
             alive &= ~comp
 
@@ -475,22 +468,65 @@ def test_first_scc_of_nothing_reads_nothing(backend):
     reads = [0]
     for name in ("succ_masks", "pred_masks"):
         object.__setattr__(g, name, _counting(getattr(g, name), reads))
-    assert first_scc(g, 0) == (0, True)
+    assert first_scc(g, 0) == 0
     assert reads == [0]
 
 
-def test_scc_layer_decomposes_nothing_on_a_chain(monkeypatch):
-    # each lowest alive position is a one-position terminal component,
-    # which the closure check finds without decomposing
-    n = 300
-    g = _chain(n)
+def _watch_decompositions(monkeypatch):
+    # every alive set ``_scc_masks`` decomposes
     runs = []
     decompose = solver._scc_masks
     monkeypatch.setattr(solver, "_scc_masks", lambda game, alive: runs.append(alive) or decompose(game, alive))
-    regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
-    assert runs == []
-    assert regions.of(0).indices() == tuple(range(0, n, 2))
-    assert (stats.total_calls, stats.distinct_subgames, stats.max_depth) == (2 * n + 1, n + 2, 3)
+    return runs
+
+
+def test_the_python_first_scc_decomposes_only_a_closure_that_is_not_strong(monkeypatch):
+    # 0 -> 1 -> 2 -> 1: the closure {0, 1, 2} of 0 does not reach back to
+    # 0, so the decomposition runs on it alone and gives {1, 2}; {1, 2}
+    # itself is strong and needs none
+    g = mk([0, 0, 0], [0, 0, 0], [[1], [2], [1]])
+    runs = _watch_decompositions(monkeypatch)
+    assert solver._first_scc_py(g, 0b111) == 0b110
+    assert solver._first_scc_py(g, 0b110) == 0b110
+    assert runs == [0b111]
+
+
+class _FirstScc:
+    # the kernel, recording each (alive, component) of its ``first_scc``
+    def __init__(self, kernel, seen):
+        self._kernel, self._seen = kernel, seen
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+    def first_scc(self, arena, alive):
+        self._seen.append((alive, self._kernel.first_scc(arena, alive)))
+        return self._seen[-1][1]
+
+
+def test_scc_layer_decomposes_nothing_on_a_chain(monkeypatch):
+    # each lowest alive position is a one-position terminal component:
+    # its forward closure, strong already, so on either backend every
+    # first component is that closure and the Python one decomposes
+    # nothing
+    n = 300
+    g = _chain(n)
+    runs = _watch_decompositions(monkeypatch)
+    twin = solver._first_scc_py
+    for kernel in _kernels():
+        seen = []
+        if kernel is None:
+            monkeypatch.setattr(solver, "_kernel", None)
+            monkeypatch.setattr(solver, "_first_scc_py", lambda g, a: seen.append((a, twin(g, a))) or seen[-1][1])
+        else:
+            monkeypatch.setattr(solver, "_first_scc_py", twin)
+            monkeypatch.setattr(solver, "_kernel", _FirstScc(kernel, seen))
+        regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
+        assert runs == []
+        assert regions.of(0).indices() == tuple(range(0, n, 2))
+        assert (stats.total_calls, stats.distinct_subgames, stats.max_depth) == (2 * n + 1, n + 2, 3)
+        assert len(seen) == n, kernel
+        assert all(comp == alive & -alive for alive, comp in seen), kernel
 
 
 def _new_record(backend):
@@ -769,44 +805,59 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
 # both players and budgets from -1 up, every valid level cursor, alive
 # masks with bits only past n, and a 3,000-cycle whose search fills the
 # frame stack; the scans run one record over nested alive sets, so its
-# entries are replayed, overwritten and outgrow the first slots.  Whole
-# solves run against the Python loop, in full and stopped by their
-# call limit: on the word-edge games, on cores whose tables double past
-# their first slots, on a 1,500-chain whose stacks grow with its depth,
-# and one that a signal handler interrupts
+# entries are replayed, overwritten and outgrow the first slots, and
+# first components are taken one at a time, many from closures that are
+# not strong.  Whole solves of every layer mix run against the Python
+# loop, in full and stopped by their call limit: on the word-edge games,
+# on cores whose tables double past their first slots, on a 1,500-chain
+# whose stacks grow with its depth; a plain and a scc+dom solve are
+# interrupted by a signal handler
 _SANITIZED_RUN = """
 import random, signal, sys
 from importlib.machinery import ExtensionFileLoader, ModuleSpec
-from paritylab import CallLimitExceeded, ParityGame, SolverConfig, Subgame, core, gen_core, solver
+from itertools import product
+from paritylab import CallLimitExceeded, ParityGame, SolverConfig, Subgame, core, gen_core, gen_scc, solver
 
 loader = ExtensionFileLoader("paritylab._kernel", sys.argv[1])
 kernel = loader.create_module(ModuleSpec("paritylab._kernel", loader, origin=sys.argv[1]))
 loader.exec_module(kernel)
 solver._kernel = None  # solver.solve runs the Python loop
-searches = 0
+searches = loose = 0
 
 
-def whole(g, limits):
+def whole(g, limits, mixes=tuple(product((False, True), repeat=3))):
     global searches
     arena = solver._pack(g)
-    for memo in (False, True):
+    for mix in mixes:
         for limit in (None, *limits):
             try:
-                regions, s = solver.solve(Subgame.whole(g), SolverConfig(memoization=memo, call_limit=limit))
+                regions, s = solver.solve(Subgame.whole(g), SolverConfig(*mix, call_limit=limit))
                 w0 = regions.of(0).mask
             except CallLimitExceeded as stop:
                 w0, s = None, stop.stats
-            want = (w0, s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth, w0 is None)
-            assert kernel.solve(arena, g.full_mask, memo, limit) == want, (g.n, memo, limit)
+            want = (w0, s.total_calls, s.distinct_subgames, s.memo_hits, s.max_depth)
+            want += (s.dominion_probes, s.dominion_replays, w0 is None)
+            assert kernel.solve(arena, g.full_mask, *mix, limit) == want, (g.n, mix, limit)
             searches += 1
+
+
+def components(g, alive):
+    # alive cut down one first component at a time, as the SCC layer does
+    global loose
+    arena = solver._pack(g)
+    while alive:
+        r = alive & -alive
+        f = core._closure(g.succ_masks, alive, r)
+        loose += core._closure(g.pred_masks, f, r) != f
+        comp = kernel.first_scc(arena, alive)
+        assert comp == solver._first_scc_py(g, alive), (g.n, alive)
+        alive &= ~comp
 
 
 def check(g, alive, seeds, players, budgets):
     global searches
     arena = solver._pack(g)
-    r = alive & -alive
-    f = core._closure(g.succ_masks, alive, r)
-    assert kernel.first_scc(arena, alive) == (f, core._closure(g.pred_masks, f, r) == f)
+    components(g, alive)
     want = solver._left_mask(g, alive, 0)
     for lo in range(want[1] + 1):
         assert kernel.left(arena, alive, lo) == want, (g.n, alive, lo)
@@ -817,7 +868,7 @@ def check(g, alive, seeds, players, budgets):
                 assert kernel.right(arena, alive, holders, w_opp, q) == solver._right_mask(g, alive, holders, w_opp, q)
     past = (1 << 64 * ((g.n + 63) // 64)) - 1 & ~g.full_mask
     if past:
-        assert kernel.first_scc(arena, past) == (0, True)
+        assert kernel.first_scc(arena, past) == 0
         assert kernel.right(arena, past, past, past, 0) is past
         try:
             kernel.left(arena, past, 0)
@@ -870,22 +921,25 @@ for n in (1, 9, 63, 64, 65, 128, 129):
     whole(g, (0, 1, 5))
 for k in range(1, 6):
     whole(gen_core(k), (7, 100, 300))
+for k in range(1, 4):
+    whole(gen_scc(k), (7, 100))
 whole(ParityGame([v % 2 for v in range(1500)], list(range(1500)), [[v, v - 1] if v else [v] for v in range(1500)]), (1000,))
+assert loose > 100, loose
 
 
 def interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
-g = gen_core(15)
 signal.signal(signal.SIGALRM, interrupt)
-signal.setitimer(signal.ITIMER_REAL, 0.1)
-try:
-    kernel.solve(solver._pack(g), g.full_mask, False, None)
-except KeyboardInterrupt:
-    pass
-else:
-    raise AssertionError("a plain solve of gen_core(15) outran the timer")
+for g, mix in ((gen_core(15), (False, False, False)), (gen_scc(11), (False, True, True))):
+    signal.setitimer(signal.ITIMER_REAL, 0.1)
+    try:
+        kernel.solve(solver._pack(g), g.full_mask, *mix, None)
+    except KeyboardInterrupt:
+        pass
+    else:
+        raise AssertionError(f"a {mix} solve of a {g.n}-position game outran the timer")
 n = 3000
 g = ParityGame([0] * n, [0] * n, [[(v + 1) % n] for v in range(n)])
 check(g, g.full_mask, [0], [0], [n, 2**70])
@@ -1042,15 +1096,42 @@ class _Counted:
         return lambda *args: self._calls.append(name) or fn(*args)
 
 
-@pytest.mark.parametrize("variant", ["plain", "memo"])
+@pytest.mark.parametrize("variant", ["plain", "memo", "dom", "memo+dom", "scc+dom", "memo+scc+dom"])
 def test_a_plain_or_memo_solve_is_one_kernel_call(variant, monkeypatch):
+    # every mix but ``scc`` and ``memo+scc``: the whole solve, its
+    # dominion scans and component loops included, is one kernel call,
+    # with the Python loop's answer and counters
     calls = []
     monkeypatch.setattr(solver, "_kernel", _Counted(_compiled(), calls))
-    g = gen_core(3)
-    regions, stats = solve(Subgame.whole(g), VARIANTS[variant])
+    g = gen_scc(3)
+    cfg = _config(variant)
+    regions, stats = solve(Subgame.whole(g), cfg)
     assert calls == ["solve"]
     assert regions.of(0).mask == g.full_mask
-    assert _counters(stats)[:5] == _GRID["core k=3"][variant]
+    if variant in _GRID["scc k=3"]:
+        assert _counters(stats)[:5] == _GRID["scc k=3"][variant]
+    monkeypatch.setattr(solver, "_kernel", None)
+    assert _counters(stats) == _counters(solve(Subgame.whole(g), cfg)[1])
+
+
+@pytest.mark.parametrize("variant", ["scc", "memo+scc"])
+def test_an_scc_solve_without_dom_takes_its_components_from_the_kernel(variant, monkeypatch):
+    # ``scc`` and ``memo+scc`` keep the Python loop and take every step,
+    # each first component included, from the kernel: no kernel ``solve``,
+    # and neither the Python twin nor its decomposition runs
+    calls = []
+    monkeypatch.setattr(solver, "_kernel", _Counted(_compiled(), calls))
+    twin_calls = []
+    twin = solver._first_scc_py
+    monkeypatch.setattr(solver, "_first_scc_py", lambda *args: twin_calls.append(args) or twin(*args))
+    runs = _watch_decompositions(monkeypatch)
+    g = gen_scc(3)
+    regions, stats = solve(Subgame.whole(g), VARIANTS[variant])
+    assert "solve" not in calls and calls.count("first_scc") > 0
+    assert set(calls) == {"left", "right", "first_scc"}
+    assert twin_calls == [] and runs == []
+    assert regions.of(0).mask == g.full_mask
+    assert _counters(stats)[:5] == _GRID["scc k=3"][variant]
 
 
 def _on_both_backends(sub, cfg):
@@ -1093,6 +1174,28 @@ def test_kernel_solve_matches_the_python_loop(n, game_seed, data):
     for _ in range(data.draw(st.integers(0, 2))):
         alive = _trap(g, alive, data.draw(st.integers(0, g.full_mask)), data.draw(st.integers(0, 1)))
     _agree_on_the_solve(g, alive, lambda total: data.draw(st.integers(0, total - 1)))
+
+
+_MIXES = [SolverConfig(*mix) for mix in itertools.product((False, True), repeat=3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 10_000), st.data())
+def test_every_mix_solves_like_the_python_loop(n, game_seed, data):
+    # all eight layer mixes on both backends: the same regions, all six
+    # counters and the same stop, in full and at a call limit drawn below
+    # the full count
+    g = gen_random(n, game_seed)
+    alive = g.full_mask
+    if data.draw(st.booleans()):
+        alive = _trap(g, alive, data.draw(st.integers(0, g.full_mask)), data.draw(st.integers(0, 1)))
+    sub = Subgame(g, PositionSet(g, alive))
+    for mix in _MIXES:
+        kernel, python = _on_both_backends(sub, mix)
+        assert kernel == python, (n, alive, mix)
+        limit = data.draw(st.integers(0, python[1][0] - 1))
+        kernel, python = _on_both_backends(sub, replace(mix, call_limit=limit))
+        assert kernel == python and python[0] is None, (n, alive, mix, limit)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
@@ -1151,7 +1254,7 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
     full = g.full_mask
     past = (top - 1) & ~full
     assert kernel.search(arena, top - 1, 0, 0, 2) == solver._search_py(g, full, 0, 0, 2)
-    assert kernel.first_scc(arena, top - 1)[0] == core._closure(g.succ_masks, full, 1)
+    assert kernel.first_scc(arena, top - 1) == solver._first_scc_py(g, full)
     p, _, holders, a = want = solver._left_mask(g, full, 0)
     assert kernel.left(arena, top - 1, 0) == want
     w_opp = full & ~a or full
@@ -1159,7 +1262,7 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
     if past:
         # only bits past n: nothing is alive (first_scc used to take such
         # a bit as its start position and read offsets past the arena)
-        assert kernel.first_scc(arena, past) == (0, True)
+        assert kernel.first_scc(arena, past) == 0
         assert kernel.search(arena, past, 0, 0, 2) == solver._search_py(g, 0, 0, 0, 2)
         assert kernel.scan(arena, kernel.record(), past, 2, (0, 1)) == (None, None, 0, 0)
         with pytest.raises(ValueError, match="no position"):
@@ -1170,10 +1273,10 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
     with pytest.raises(ValueError, match="player"):
         kernel.right(arena, full, 1, 1, 2)
     assert kernel.scan(arena, kernel.record(), top - 1, 2, (0, 1)) == kernel.scan(arena, kernel.record(), full, 2, (0, 1))
-    for memo in (False, True):
-        assert kernel.solve(arena, top - 1, memo, None) == kernel.solve(arena, full, memo, None)
+    for mix in itertools.product((False, True), repeat=3):
+        assert kernel.solve(arena, top - 1, *mix, None) == kernel.solve(arena, full, *mix, None)
         if past:
-            assert kernel.solve(arena, past, memo, None) == (0, 1, 1, 0, 1, False)
+            assert kernel.solve(arena, past, *mix, None) == (0, 1, 1, 0, 1, 0, 0, False)
     calls = (
         lambda mask: kernel.search(arena, mask, 0, 0, 1),
         lambda mask: kernel.scan(arena, kernel.record(), mask, 1, (0, 1)),
@@ -1182,7 +1285,8 @@ def test_kernel_rejects_alive_masks_outside_its_words(n):
         lambda mask: kernel.right(arena, mask, 1, 1, 0),
         lambda mask: kernel.right(arena, full, mask, 1, 0),
         lambda mask: kernel.right(arena, full, 1, mask, 0),
-        lambda mask: kernel.solve(arena, mask, True, None),
+        lambda mask: kernel.solve(arena, mask, True, False, False, None),
+        lambda mask: kernel.solve(arena, mask, True, True, True, None),
     )
     for call in calls:
         for mask in (-1, -top, top, top | 1, 2 * top):
@@ -1217,21 +1321,22 @@ def test_kernel_scan_rejects_bad_arguments():
 
 
 def test_kernel_solve_rejects_bad_limits():
-    # a negative limit or one that is not an int; None and a limit past
-    # every int64 never bind
+    # a negative limit or one that is not an int, with or without the SCC
+    # and dominion layers; None and a limit past every int64 never bind
     kernel = _compiled()
     g = gen_core(2)
     arena = solver._pack(g)
-    for limit in (-1, -(2**70)):
-        with pytest.raises(ValueError, match="call limit"):
-            kernel.solve(arena, g.full_mask, True, limit)
-    for limit in (2.5, "3"):
-        with pytest.raises(TypeError):
-            kernel.solve(arena, g.full_mask, True, limit)
-    full = kernel.solve(arena, g.full_mask, True, None)
-    assert full == (g.full_mask, 42, 30, 12, 11, False)
-    assert kernel.solve(arena, g.full_mask, True, 2**70) == full
-    assert kernel.solve(arena, g.full_mask, True, 41) == (None, 42, 30, 11, 11, True)
+    for layers in ((False, False), (True, True)):
+        for limit in (-1, -(2**70)):
+            with pytest.raises(ValueError, match="call limit"):
+                kernel.solve(arena, g.full_mask, True, *layers, limit)
+        for limit in (2.5, "3"):
+            with pytest.raises(TypeError):
+                kernel.solve(arena, g.full_mask, True, *layers, limit)
+        full = kernel.solve(arena, g.full_mask, True, *layers, None)
+        assert kernel.solve(arena, g.full_mask, True, *layers, 2**70) == full
+    assert kernel.solve(arena, g.full_mask, True, False, False, None) == (g.full_mask, 42, 30, 12, 11, 0, 0, False)
+    assert kernel.solve(arena, g.full_mask, True, False, False, 41) == (None, 42, 30, 11, 11, 0, 0, True)
 
 
 def _arena(g):
@@ -1287,7 +1392,8 @@ def test_both_kernel_functions_reject_a_short_arena():
             lambda: kernel.left(arena, g.full_mask, 0),
             lambda: kernel.right(arena, g.full_mask, 1, 2, 0),
             lambda: kernel.scan(arena, kernel.record(), g.full_mask, 3, (0, 1)),
-            lambda: kernel.solve(arena, g.full_mask, False, None),
+            lambda: kernel.solve(arena, g.full_mask, False, False, False, None),
+            lambda: kernel.solve(arena, g.full_mask, False, True, True, None),
         ):
             with pytest.raises(ValueError, match="^malformed packed arena$"):
                 call()

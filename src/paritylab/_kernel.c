@@ -20,8 +20,8 @@
  * stops there.  ``search(arena, alive, seed, p, budget)`` returns the same
  * ``(result, touched, probes)`` as ``_search_py``: the closure found (or
  * None), the touched mask and the number of probes.  ``record()`` makes
- * an empty dominion record, a capsule that frees its table when the solve
- * drops it, and ``scan(arena, record, alive, budget, players)`` runs
+ * an empty dominion record, a capsule that frees its table when its
+ * caller drops it, and ``scan(arena, record, alive, budget, players)`` runs
  * ``_find_dominion_mask_py``'s loop on it: seeds ascending, players in
  * the order given, each (seed, p, budget) replayed from the record when
  * alive still agrees with its last search on that search's touched mask
@@ -757,7 +757,8 @@ set_span(Table *t, Entry *e, int32_t lo, int32_t span, int32_t masks)
 }
 
 /* ------------------------------------------------------------------------
- * the dominion record: one table of the kind above, living for one solve
+ * the dominion record: one table of the kind above, living for one
+ * ``find_dominion`` call or, inside ``solve``, for one solve
  *
  * It keeps, per (seed, p, budget), the last search scan ran for it, as
  * _find_dominion_mask_py's dict does: its probes, whether it found a
@@ -766,7 +767,7 @@ set_span(Table *t, Entry *e, int32_t lo, int32_t span, int32_t masks)
  * the search read), so each is stored over touched's span: on a chain an
  * entry is a word or two, not n bits.  The record binds itself to the n
  * of the first arena a scan hands it, so a span never reaches past an
- * alive mask's W words. */
+ * alive mask's W words; ``solve`` keeps its record for one arena. */
 
 typedef struct {
     Table t;
@@ -1748,7 +1749,7 @@ static PyMethodDef methods[] = {
     {"search", search, METH_VARARGS,
      "search(arena, alive, seed, p, budget) -> (result, touched, probes), as solver._search_py"},
     {"record", record, METH_NOARGS,
-     "record() -> a dominion record for one solve, the kernel's twin of solver._find_dominion_mask_py's dict"},
+     "record() -> a dominion record, the kernel's twin of solver._find_dominion_mask_py's dict"},
     {"scan", scan, METH_VARARGS,
      "scan(arena, record, alive, budget, players) -> (result, p, probes, replays), "
      "as solver._find_dominion_mask_py"},

@@ -139,15 +139,8 @@ def test_component_children_skip_their_scc_check(monkeypatch):
     # one
     m = 5
     g = mk([v % 2 for v in range(2 * m)], list(range(2 * m)), [[v ^ 1] for v in range(2 * m)])
-    twin = solver._first_scc_py
     for kernel in _kernels():
-        seen = []
-        if kernel is None:
-            monkeypatch.setattr(solver, "_kernel", None)
-            monkeypatch.setattr(solver, "_first_scc_py", lambda g, a: seen.append((a, twin(g, a))) or seen[-1][1])
-        else:
-            monkeypatch.setattr(solver, "_first_scc_py", twin)
-            monkeypatch.setattr(solver, "_kernel", _FirstScc(kernel, seen))
+        seen = _watch_first_scc(kernel, monkeypatch)
         regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
         assert [comp for _, comp in seen] == [0b11 << 2 * j for j in range(m)], kernel
         assert (stats.total_calls, stats.distinct_subgames) == (11, 7)
@@ -504,6 +497,23 @@ class _FirstScc:
         return self._seen[-1][1]
 
 
+_FIRST_SCC_PY = solver._first_scc_py
+
+
+def _watch_first_scc(kernel, monkeypatch):
+    # every (alive, component) the solves ask the SCC layer's first
+    # component for: through the Python twin when ``kernel`` is None,
+    # else through the kernel's ``first_scc``
+    seen = []
+    if kernel is None:
+        monkeypatch.setattr(solver, "_kernel", None)
+        monkeypatch.setattr(solver, "_first_scc_py", lambda g, a: seen.append((a, _FIRST_SCC_PY(g, a))) or seen[-1][1])
+    else:
+        monkeypatch.setattr(solver, "_first_scc_py", _FIRST_SCC_PY)
+        monkeypatch.setattr(solver, "_kernel", _FirstScc(kernel, seen))
+    return seen
+
+
 def test_scc_layer_decomposes_nothing_on_a_chain(monkeypatch):
     # each lowest alive position is a one-position terminal component:
     # its forward closure, strong already, so on either backend every
@@ -512,15 +522,8 @@ def test_scc_layer_decomposes_nothing_on_a_chain(monkeypatch):
     n = 300
     g = _chain(n)
     runs = _watch_decompositions(monkeypatch)
-    twin = solver._first_scc_py
     for kernel in _kernels():
-        seen = []
-        if kernel is None:
-            monkeypatch.setattr(solver, "_kernel", None)
-            monkeypatch.setattr(solver, "_first_scc_py", lambda g, a: seen.append((a, twin(g, a))) or seen[-1][1])
-        else:
-            monkeypatch.setattr(solver, "_first_scc_py", twin)
-            monkeypatch.setattr(solver, "_kernel", _FirstScc(kernel, seen))
+        seen = _watch_first_scc(kernel, monkeypatch)
         regions, stats = solve(Subgame.whole(g), VARIANTS["scc"])
         assert runs == []
         assert regions.of(0).indices() == tuple(range(0, n, 2))
